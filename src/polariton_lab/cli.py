@@ -1,10 +1,12 @@
 """Scenario-driven command line: dispersion, lossmap, eit-spectrum, propagate.
 
-Each subcommand loads one INI scenario, runs the corresponding sweep (grid
-points are pure-function evaluations, optionally distributed over processes)
-and writes deterministic CSV files; byte-identical output is guaranteed for
-any ``--jobs`` setting because results are assembled in grid order by a
-single collector.  ``--plot`` adds minimal SVG renderings.  Exit codes:
+Each subcommand loads one INI scenario, runs the corresponding sweep and
+writes deterministic CSV files.  ``dispersion`` and ``lossmap`` solve each
+frequency band as one array pass (once per magnetic-decoherence ratio in
+``lossmap``); ``--jobs`` only spreads the (distance, control) combinations of
+``propagate`` over processes, and their results are assembled in grid order,
+so the output is byte-identical for any ``--jobs`` setting.  ``--plot`` adds
+minimal SVG renderings drawn from the rows already computed.  Exit codes:
 0 success, 2 configuration error, 3 numeric failure, 4 I/O error.  Log lines
 go to stderr as ``LEVEL key=value ...`` (never colored, so NO_COLOR is
 honored trivially).
@@ -19,7 +21,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -36,7 +38,7 @@ from .dispersion import (
 from .eit import alpha_closed, alpha_resonant
 from .errors import ConfigError, NumericError
 from .materials import nimm, silver
-from .propagation import PropagationScenario, propagate_pulse
+from .propagation import PropagationScenario, delay_slope, propagate_pulse
 from .quantization import DIPOLE_EA0, coupling_constant, mode_normalization
 from .svgplot import line_plot
 
@@ -66,41 +68,34 @@ def _footer(cfg: ScenarioConfig) -> dict[str, str]:
 
 # ----------------------------------------------------------------- dispersion
 
-def _dispersion_row(args: tuple) -> list[float]:
-    (omega, m1, m2, pol, kappa0, omega_e) = args
-    point = sp_wavevector(m1, m2, omega, pol)
-    try:
-        v0 = group_velocity(m1, m2, omega, pol) if point.bound else math.nan
-    except (NumericError, ValueError):
-        v0 = math.nan
-    bound_tm = sp_wavevector(m1, m2, omega, Polarization.TM).bound
-    try:
-        bound_te = sp_wavevector(m1, m2, omega, Polarization.TE).bound
-    except NumericError:
-        bound_te = False
-    return [
-        omega / omega_e,
-        point.k_par,
-        point.kappa,
-        point.kappa / kappa0,
-        v0,
-        1.0 if bound_tm else 0.0,
-        1.0 if bound_te else 0.0,
-    ]
-
-
-def cmd_dispersion(cfg: ScenarioConfig, out: Path, plot: bool, jobs: int) -> list[Path]:
+def _band(cfg: ScenarioConfig) -> np.ndarray:
     band = cfg["band"]
-    omegas = np.linspace(
+    return np.linspace(
         band["omega_min_over_we"] * cfg.omega_e,
         band["omega_max_over_we"] * cfg.omega_e,
         band["n_points"],
     )
-    tasks = [
-        (float(w), cfg.medium1, cfg.medium2, cfg.polarization, band["kappa0"], cfg.omega_e)
-        for w in omegas
-    ]
-    rows = _map_ordered(_dispersion_row, tasks, jobs)
+
+
+def _bound(cfg: ScenarioConfig, omegas: np.ndarray, pol: Polarization) -> np.ndarray:
+    """Bound flags of ``pol`` across the band; a degenerate interface binds nowhere."""
+    try:
+        return sp_wavevector(cfg.medium1, cfg.medium2, omegas, pol).bound
+    except NumericError:
+        return np.zeros(omegas.shape, dtype=bool)
+
+
+def cmd_dispersion(cfg: ScenarioConfig, out: Path, plot: bool, jobs: int) -> list[Path]:
+    kappa0 = cfg["band"]["kappa0"]
+    omegas = _band(cfg)
+    pol = cfg.polarization
+    point = sp_wavevector(cfg.medium1, cfg.medium2, omegas, pol)
+    v0 = np.full(omegas.shape, math.nan)
+    v0[point.bound] = group_velocity(cfg.medium1, cfg.medium2, omegas[point.bound], pol)
+    bound_tm = point.bound if pol is Polarization.TM else _bound(cfg, omegas, Polarization.TM)
+    bound_te = point.bound if pol is Polarization.TE else _bound(cfg, omegas, Polarization.TE)
+    columns = [omegas / cfg.omega_e, point.k_par, point.kappa, point.kappa / kappa0, v0]
+    rows = np.column_stack(columns + [bound_tm, bound_te]).tolist()
     header = [
         "omega_over_we[1]",
         "k_par[1/m]",
@@ -116,11 +111,7 @@ def cmd_dispersion(cfg: ScenarioConfig, out: Path, plot: bool, jobs: int) -> lis
     if plot:
         xs = [r[0] for r in rows]
         ours = [abs(r[3]) for r in rows]
-        ref = [
-            abs(sp_wavevector(cfg.medium1, silver(), float(w), Polarization.TM).kappa)
-            / band["kappa0"]
-            for w in omegas
-        ]
+        ref = np.abs(sp_wavevector(cfg.medium1, silver(), omegas, Polarization.TM).kappa) / kappa0
         files.append(
             line_plot(
                 out / "fig_losses.svg",
@@ -136,44 +127,32 @@ def cmd_dispersion(cfg: ScenarioConfig, out: Path, plot: bool, jobs: int) -> lis
 
 # -------------------------------------------------------------------- lossmap
 
-def _lossmap_block(args: tuple) -> tuple[list[list[float]], list[float]]:
-    (ratio, gamma_e, omega_m, m1, omegas, kappa0, omega_e, band) = args
-    m2 = nimm(gamma_m=ratio * gamma_e, omega_m=omega_m)
-    rows = []
-    for w in omegas:
-        point = sp_wavevector(m1, m2, float(w), Polarization.TM)
-        rows.append([ratio, w / omega_e, point.kappa / kappa0])
-    try:
-        abyss = find_abyss(m1, m2, band, Polarization.TM)
-        track = [ratio, abyss.omega0 / omega_e, abyss.kappa_at_omega0 / kappa0]
-    except AbyssNotFoundError:
-        track = [ratio, math.nan, math.nan]
-    return rows, track
-
-
 def cmd_lossmap(cfg: ScenarioConfig, out: Path, plot: bool, jobs: int) -> list[Path]:
-    band = cfg["band"]
+    kappa0 = cfg["band"]["kappa0"]
     lm = cfg["lossmap"]
     gamma_e = cfg["materials"]["gamma_e"]
     omega_m = cfg["materials"]["omega_m"]
-    omegas = np.linspace(
-        band["omega_min_over_we"] * cfg.omega_e,
-        band["omega_max_over_we"] * cfg.omega_e,
-        band["n_points"],
-    )
+    omegas = _band(cfg)
     if lm["n_gamma"] == 1:
         ratios = np.array([lm["gamma_ratio_min"]])
     else:
         ratios = np.geomspace(lm["gamma_ratio_min"], lm["gamma_ratio_max"], lm["n_gamma"])
     band_limits = (float(omegas[0]), float(omegas[-1]))
-    tasks = [
-        (float(r), gamma_e, omega_m, cfg.medium1, omegas, band["kappa0"], cfg.omega_e, band_limits)
-        for r in ratios
-    ]
-    blocks = _map_ordered(_lossmap_block, tasks, jobs)
 
-    map_rows = [row for rows, _ in blocks for row in rows]
-    track_rows = [track for _, track in blocks]
+    blocks = []
+    track_rows = []
+    for ratio in ratios.tolist():
+        m2 = nimm(gamma_m=ratio * gamma_e, omega_m=omega_m)
+        kappa = sp_wavevector(cfg.medium1, m2, omegas, Polarization.TM).kappa
+        columns = [np.full(omegas.shape, ratio), omegas / cfg.omega_e, kappa / kappa0]
+        blocks.append(np.column_stack(columns).tolist())
+        try:
+            abyss = find_abyss(cfg.medium1, m2, band_limits, Polarization.TM)
+            track_rows.append([ratio, abyss.omega0 / cfg.omega_e, abyss.kappa_at_omega0 / kappa0])
+        except AbyssNotFoundError:
+            track_rows.append([ratio, math.nan, math.nan])
+
+    map_rows = [row for rows in blocks for row in rows]
     header_map = ["gamma_m_over_gamma_e[1]", "omega_over_we[1]", "kappa_over_kappa0[1]"]
     header_track = ["gamma_m_over_gamma_e[1]", "omega0_over_we[1]", "kappa0_min_over_kappa0[1]"]
     files = [
@@ -183,15 +162,14 @@ def cmd_lossmap(cfg: ScenarioConfig, out: Path, plot: bool, jobs: int) -> list[P
     log("INFO", cmd="lossmap", gammas=len(ratios), points=len(map_rows))
 
     if plot:
-        curves = []
-        for ratio in (ratios[0], ratios[len(ratios) // 2], ratios[-1]):
-            m2 = nimm(gamma_m=float(ratio) * gamma_e, omega_m=omega_m)
-            ys = [
-                abs(sp_wavevector(cfg.medium1, m2, float(w), Polarization.TM).kappa)
-                / band["kappa0"]
-                for w in omegas
-            ]
-            curves.append(([w / cfg.omega_e for w in omegas], ys, f"gamma_m/gamma_e={ratio:.2g}"))
+        curves = [
+            (
+                [r[1] for r in blocks[i]],
+                [abs(r[2]) for r in blocks[i]],
+                f"gamma_m/gamma_e={ratios[i]:.2g}",
+            )
+            for i in (0, len(ratios) // 2, len(ratios) - 1)
+        ]
         files.append(
             line_plot(
                 out / "fig_lossmap.svg",
@@ -263,11 +241,15 @@ def cmd_eit_spectrum(cfg: ScenarioConfig, out: Path, plot: bool, jobs: int) -> l
     log("INFO", cmd="eit-spectrum", omegas=len(eit["omega"]), points=len(rows))
 
     if plot:
-        curves = []
-        for om in eit["omega"]:
-            params = cfg.lambda_params(om)
-            ys = [alpha_closed(params, alpha0, float(nu)).alpha.real * x for nu in nus]
-            curves.append(([nu / gamma31 for nu in nus], ys, f"Omega/Gamma31={om / gamma31:.2g}"))
+        n_nu = len(nus)
+        curves = [
+            (
+                [r[0] for r in rows[i * n_nu:(i + 1) * n_nu]],
+                [r[2] for r in rows[i * n_nu:(i + 1) * n_nu]],
+                f"Omega/Gamma31={om / gamma31:.2g}",
+            )
+            for i, om in enumerate(eit["omega"])
+        ]
         files.append(
             line_plot(
                 out / "fig_eit_spectrum.svg",
@@ -343,17 +325,9 @@ def cmd_propagate(cfg: ScenarioConfig, out: Path, plot: bool, jobs: int) -> list
     if len(pulse["omega"]) >= 2:
         slope_rows = []
         for xi in pulse["x"]:
-            ballistic = xi / v0
-            pts = [
-                (om, row[2] * delta_t - ballistic)
-                for (xr, om), row in zip(combos, metrics_rows)
-                if xr == xi and row[2] * delta_t - ballistic > 0
-            ]
-            if len(pts) >= 2:
-                fit = np.polyfit(np.log([p[0] for p in pts]), np.log([p[1] for p in pts]), 1)
-                slope_rows.append([xi, float(fit[0])])
-            else:
-                slope_rows.append([xi, math.nan])
+            runs = [(om, m.delay) for (xr, om), (_, m) in zip(combos, results) if xr == xi]
+            slope = delay_slope([r[0] for r in runs], [r[1] for r in runs], xi, v0)
+            slope_rows.append([xi, math.nan if slope is None else slope])
         files.append(
             write_csv(out / "slope.csv", ["x[m]", "delay_slope[1]"], slope_rows, _footer(cfg))
         )

@@ -26,8 +26,6 @@ Loss-minimum searches therefore operate on |kappa|.
 
 from __future__ import annotations
 
-import cmath
-import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -36,7 +34,7 @@ from scipy import constants as sc
 from scipy.optimize import minimize_scalar
 
 from .errors import AbyssNotFoundError, NumericError
-from .materials import HalfSpaceMaterial, eval_material
+from .materials import HalfSpaceMaterial, d_omega_material, eval_material
 
 C = sc.c
 
@@ -51,20 +49,20 @@ class Polarization(Enum):
 
 @dataclass(frozen=True)
 class DispersionPoint:
-    """One frequency point of the complex interface dispersion."""
+    """The complex interface dispersion at one frequency or a frequency array."""
 
-    omega: float
-    k_par: float
-    kappa: float
-    k1: complex
-    k2: complex
+    omega: float | np.ndarray
+    k_par: float | np.ndarray
+    kappa: float | np.ndarray
+    k1: complex | np.ndarray
+    k2: complex | np.ndarray
     polarization: Polarization
-    bound: bool
-    bc_residual: float
+    bound: bool | np.ndarray
+    bc_residual: float | np.ndarray
 
     @property
-    def k_parallel(self) -> complex:
-        return complex(self.k_par, self.kappa)
+    def k_parallel(self) -> complex | np.ndarray:
+        return self.k_par + 1j * self.kappa
 
 
 @dataclass(frozen=True)
@@ -80,61 +78,76 @@ class AbyssResult:
         return self.residual <= 0.05
 
 
-def _principal_sqrt(z: complex) -> complex:
+def _principal_sqrt(z):
     """Square root with Re >= 0; on the Re = 0 ray pick Im >= 0."""
-    s = cmath.sqrt(z)
-    if s.real < 0 or (s.real == 0 and s.imag < 0):
-        s = -s
-    return s
+    s = np.sqrt(z)
+    return np.where((s.real < 0) | ((s.real == 0) & (s.imag < 0)), -s, s)
+
+
+def _frequencies(omega) -> np.ndarray:
+    # A scalar runs as a one-element array, so it takes the same array loops
+    # and gives the same bits as that frequency inside a band.
+    return np.atleast_1d(np.asarray(omega, dtype=float))
+
+
+def _shaped(x: np.ndarray, omega):
+    """``x`` in the shape of ``omega``: a Python scalar for a scalar ``omega``."""
+    return x.item() if np.ndim(omega) == 0 else x.reshape(np.shape(omega))
+
+
+def _by_polarization(pol: Polarization, e1, u1, e2, u2) -> tuple:
+    """(a1, a2, b1, b2): the (eps, mu) pairs for TM, (mu, eps) for TE."""
+    return (e1, e2, u1, u2) if pol is Polarization.TM else (u1, u2, e1, e2)
+
+
+def _interface(m1: HalfSpaceMaterial, m2: HalfSpaceMaterial, w: np.ndarray, pol: Polarization):
+    """(a1, a2, b1, b2), a2**2 - a1**2 and the radicand at the frequencies ``w``.
+
+    A degenerate denominator at any frequency raises :class:`NumericError`.
+    """
+    r1, r2 = eval_material(m1, w), eval_material(m2, w)
+    a1, a2, b1, b2 = _by_polarization(pol, r1.epsilon, r1.mu, r2.epsilon, r2.mu)
+    denom = a2 * a2 - a1 * a1
+    degenerate = np.abs(denom) < _DEGENERATE_TOL * np.abs(a1) ** 2
+    if np.any(degenerate):
+        raise NumericError(
+            f"degenerate interface for {pol.value}: |a2^2 - a1^2| = "
+            f"{np.extract(degenerate, np.abs(denom))[0]:.3e} "
+            f"at omega = {np.extract(degenerate, w)[0]:.6e}"
+        )
+    return (a1, a2, b1, b2), denom, a1 * a2 * (a2 * b1 - a1 * b2) / denom
 
 
 def sp_wavevector(
     m1: HalfSpaceMaterial,
     m2: HalfSpaceMaterial,
-    omega: float,
+    omega,
     pol: Polarization = Polarization.TM,
 ) -> DispersionPoint:
-    """Solve the interface dispersion at one frequency.
+    """Solve the interface dispersion at one frequency or an array of them.
 
-    Returns a :class:`DispersionPoint`; an unbound solution is returned with
-    ``bound=False`` rather than raising.  A degenerate denominator
-    (a2**2 == a1**2 for the active polarization) raises :class:`NumericError`.
+    Returns a :class:`DispersionPoint` whose fields are Python scalars for a
+    scalar ``omega`` and arrays of its shape otherwise; an unbound solution is
+    flagged ``bound=False`` rather than raising.  A degenerate denominator
+    (a2**2 == a1**2 for the active polarization) at any requested frequency
+    raises :class:`NumericError`.
     """
-    r1 = eval_material(m1, omega)
-    r2 = eval_material(m2, omega)
-    if pol is Polarization.TM:
-        a1, a2, b1, b2 = r1.epsilon, r2.epsilon, r1.mu, r2.mu
-    else:
-        a1, a2, b1, b2 = r1.mu, r2.mu, r1.epsilon, r2.epsilon
-
-    denom = a2 * a2 - a1 * a1
-    if abs(denom) < _DEGENERATE_TOL * abs(a1) ** 2:
-        raise NumericError(
-            f"degenerate interface for {pol.value}: |a2^2 - a1^2| = {abs(denom):.3e} "
-            f"at omega = {omega:.6e}"
-        )
-    radicand = a1 * a2 * (a2 * b1 - a1 * b2) / denom
-    w_c = omega / C
+    w = _frequencies(omega)
+    (a1, a2, b1, b2), _, radicand = _interface(m1, m2, w, pol)
+    w_c = w / C
     k = w_c * _principal_sqrt(radicand)
 
-    k1 = _principal_sqrt(k * k - w_c * w_c * r1.epsilon * r1.mu)
-    k2 = _principal_sqrt(k * k - w_c * w_c * r2.epsilon * r2.mu)
+    # a1*b1 = eps1*mu1 and a2*b2 = eps2*mu2 for either polarization.
+    k1 = _principal_sqrt(k * k - w_c * w_c * a1 * b1)
+    k2 = _principal_sqrt(k * k - w_c * w_c * a2 * b2)
 
-    s1, s2 = (a1, a2)
-    num = abs(k1 * s2 + k2 * s1)
-    residual = num / max(abs(k1 * s2), abs(k2 * s1), 1e-300)
-    bound = k1.real > 0 and k2.real > 0 and residual < _BC_RESIDUAL_TOL
+    num = np.abs(k1 * a2 + k2 * a1)
+    residual = num / np.maximum(np.maximum(np.abs(k1 * a2), np.abs(k2 * a1)), 1e-300)
+    bound = (k1.real > 0) & (k2.real > 0) & (residual < _BC_RESIDUAL_TOL)
 
-    return DispersionPoint(
-        omega=omega,
-        k_par=k.real,
-        kappa=k.imag,
-        k1=k1,
-        k2=k2,
-        polarization=pol,
-        bound=bound,
-        bc_residual=residual,
-    )
+    fields = dict(omega=w, k_par=k.real, kappa=k.imag, k1=k1, k2=k2, bound=bound,
+                  bc_residual=residual)
+    return DispersionPoint(polarization=pol, **{n: _shaped(v, omega) for n, v in fields.items()})
 
 
 def polarization_support(
@@ -158,39 +171,35 @@ def polarization_support(
 def group_velocity(
     m1: HalfSpaceMaterial,
     m2: HalfSpaceMaterial,
-    omega: float,
+    omega,
     pol: Polarization = Polarization.TM,
-    rel_tol: float = 1e-7,
-) -> float:
-    """Group velocity dw/dk_par of the bare surface mode at ``omega``.
+):
+    """Group velocity dw/dk_par = 1/Re(dk/dw) of the bare surface mode at ``omega``.
 
-    Centered finite difference on k_par(w) with step halving until two
-    successive estimates agree to ``rel_tol``; the stencil is refined when
-    k_par is not monotonic across it.
+    Closed form: the radicand R(a1, a2, b1, b2) of k = (w/c)*sqrt(R) is
+    homogeneous of degree 2, so (c*k)**2 = R(w*a1, w*a2, w*b1, w*b2) and
+
+        2*c**2 * k * dk/dw = w * sum_j dR/da_j * d(w*a_j)/dw,
+
+    with the analytic d(w*a_j)/dw of the material models.  A scalar
+    ``omega`` gives a float, an array gives an array; :class:`ValueError` is
+    raised when any requested point is unbound.
     """
-    center = sp_wavevector(m1, m2, omega, pol)
-    if not center.bound:
-        raise ValueError(f"no bound {pol.value} mode at omega = {omega:.6e}")
-
-    def k_par(w: float) -> float:
-        return sp_wavevector(m1, m2, w, pol).k_par
-
-    h = 1e-4 * omega
-    prev = None
-    for _ in range(48):
-        lo, hi = k_par(omega - h), k_par(omega + h)
-        if not (lo < center.k_par < hi or lo > center.k_par > hi):
-            h *= 0.5
-            prev = None
-            continue
-        deriv = (hi - lo) / (2.0 * h)
-        if prev is not None and abs(deriv - prev) <= rel_tol * abs(deriv):
-            return 1.0 / deriv
-        prev = deriv
-        h *= 0.5
-        if h < 1e-13 * omega:
-            break
-    raise NumericError(f"group-velocity stencil did not converge at omega = {omega:.6e}")
+    point = sp_wavevector(m1, m2, omega, pol)
+    if not np.all(point.bound):
+        raise ValueError(f"no bound {pol.value} mode at omega = {omega!r}")
+    w = _frequencies(omega)
+    (a1, a2, b1, b2), denom, radicand = _interface(m1, m2, w, pol)
+    da1, da2, db1, db2 = _by_polarization(pol, *d_omega_material(m1, w), *d_omega_material(m2, w))
+    # R = N / denom with N = a1*a2**2*b1 - a1**2*a2*b2.
+    d_radicand = (
+        (a2 * a2 * b1 - 2.0 * a1 * a2 * b2 + 2.0 * radicand * a1) * da1
+        + (2.0 * a1 * a2 * b1 - a1 * a1 * b2 - 2.0 * radicand * a2) * da2
+        + a1 * a2 * a2 * db1
+        - a1 * a1 * a2 * db2
+    ) / denom
+    dk_domega = w * d_radicand / (2.0 * C * C * np.reshape(point.k_parallel, w.shape))
+    return _shaped(1.0 / dk_domega.real, omega)
 
 
 def loss_cancellation_residual(
@@ -230,9 +239,10 @@ def find_abyss(
 ) -> AbyssResult:
     """Locate the minimum of |kappa(w)| inside ``search_band``.
 
-    A coarse scan of ``n_grid`` points brackets the minimum and golden-section
-    refinement narrows it to a relative frequency tolerance of 1e-9.  If the
-    coarse minimum sits on a band edge there is no interior minimum and
+    A coarse scan of ``n_grid >= 3`` points, solved as one array, brackets
+    the minimum and golden-section refinement narrows it to a relative
+    frequency tolerance of 1e-9.  If the coarse minimum sits on a band edge
+    there is no interior minimum and
     :class:`AbyssNotFoundError` is raised.  The loss-interference residual at
     the minimizer is evaluated as a diagnostic; ``is_cancellation`` is False
     when it exceeds 0.05 (a minimum exists but losses do not cancel there).
@@ -240,13 +250,14 @@ def find_abyss(
     lo, hi = search_band
     if not (0 < lo < hi):
         raise ValueError(f"invalid search band {search_band!r}")
-    n_grid = max(int(n_grid), 512)
+    if n_grid < 3:
+        raise ValueError(f"n_grid must be at least 3 to bracket a minimum, got {n_grid!r}")
 
     def abs_kappa(w: float) -> float:
         return abs(sp_wavevector(m1, m2, w, pol).kappa)
 
     grid = np.linspace(lo, hi, n_grid)
-    kappas = np.array([abs_kappa(w) for w in grid])
+    kappas = np.abs(sp_wavevector(m1, m2, grid, pol).kappa)
     i = int(np.argmin(kappas))
     if i == 0 or i == n_grid - 1:
         raise AbyssNotFoundError(

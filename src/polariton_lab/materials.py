@@ -6,14 +6,17 @@ real frequency-independent constant or a Drude pole
     s(w) = 1 - wf**2 / (w * (w + i*gf)),
 
 with plasma frequency ``wf`` and loss rate ``gf`` in rad/s.  All frequencies
-are angular.  The derivative d(w*s)/dw needed by the mode normalization is
-available in closed form.
+are angular.  The derivative d(w*s)/dw needed by the mode normalization and
+the group velocity is available in closed form.  Every evaluation accepts a
+scalar or an ndarray of frequencies and returns values of the same shape.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Union
+
+import numpy as np
 
 # Drude parameters for Ag and the dielectric constant used throughout the
 # numerical studies in this package.
@@ -60,38 +63,34 @@ class HalfSpaceMaterial:
 
 @dataclass(frozen=True)
 class MaterialResponse:
-    """epsilon(w) and mu(w) of one half-space at a single frequency."""
+    """epsilon(w) and mu(w) of one half-space at a frequency or a frequency array."""
 
-    epsilon: complex
-    mu: complex
-    omega: float
-
-
-def _drude(omega: float, p: DrudeParams) -> complex:
-    return 1.0 - p.plasma_frequency**2 / (omega * (omega + 1j * p.loss_rate))
+    epsilon: complex | np.ndarray
+    mu: complex | np.ndarray
+    omega: float | np.ndarray
 
 
-def _drude_domega(omega: float, p: DrudeParams) -> complex:
-    # d(w*s)/dw for the Drude form.
-    return 1.0 + p.plasma_frequency**2 / (omega + 1j * p.loss_rate) ** 2
-
-
-def _eval_one(model: Response, omega: float) -> complex:
-    if isinstance(model, DrudeParams):
-        return _drude(omega, model)
-    return complex(model)
-
-
-def _deriv_one(model: Response, omega: float) -> complex:
-    if isinstance(model, DrudeParams):
-        return _drude_domega(omega, model)
-    return complex(model)
-
-
-def eval_material(m: HalfSpaceMaterial, omega: float) -> MaterialResponse:
-    """Evaluate epsilon and mu of ``m`` at angular frequency ``omega``."""
-    if not omega > 0:
+def _check_omega(omega) -> None:
+    if not np.all(np.asarray(omega) > 0):
         raise ValueError(f"omega must be positive, got {omega!r}")
+
+
+def _eval_one(model: Response, omega):
+    if isinstance(model, DrudeParams):
+        return 1.0 - model.plasma_frequency**2 / (omega * (omega + 1j * model.loss_rate))
+    return complex(model) + 0.0 * omega
+
+
+def _deriv_one(model: Response, omega):
+    # d(w*s)/dw; the Drude form gives 1 + wf**2 / (w + i*gf)**2.
+    if isinstance(model, DrudeParams):
+        return 1.0 + model.plasma_frequency**2 / (omega + 1j * model.loss_rate) ** 2
+    return complex(model) + 0.0 * omega
+
+
+def eval_material(m: HalfSpaceMaterial, omega) -> MaterialResponse:
+    """Evaluate epsilon and mu of ``m`` at angular frequency ``omega`` (scalar or array)."""
+    _check_omega(omega)
     return MaterialResponse(
         epsilon=_eval_one(m.epsilon_model, omega),
         mu=_eval_one(m.mu_model, omega),
@@ -99,10 +98,9 @@ def eval_material(m: HalfSpaceMaterial, omega: float) -> MaterialResponse:
     )
 
 
-def d_omega_material(m: HalfSpaceMaterial, omega: float) -> tuple[complex, complex]:
-    """Analytic d(w*eps)/dw and d(w*mu)/dw at ``omega``."""
-    if not omega > 0:
-        raise ValueError(f"omega must be positive, got {omega!r}")
+def d_omega_material(m: HalfSpaceMaterial, omega):
+    """Analytic d(w*eps)/dw and d(w*mu)/dw at ``omega`` (scalar or array)."""
+    _check_omega(omega)
     return _deriv_one(m.epsilon_model, omega), _deriv_one(m.mu_model, omega)
 
 

@@ -188,8 +188,8 @@ def delay_vs_control(
 ) -> ControlSweepResult:
     """Propagate once per control amplitude and fit the delay scaling.
 
-    The fit is log(delay - x/v0) against log(Omega); with fewer than two
-    usable points no fit is reported.
+    The fit is :func:`delay_slope`; with fewer than two usable points no
+    fit is reported.
     """
     rows = []
     for om in omega_grid:
@@ -199,11 +199,21 @@ def delay_vs_control(
         _, _, metrics = propagate_pulse(run)
         rows.append(ControlSweepRow(Omega=float(om), delay=metrics.delay, amp_ratio=metrics.amp_ratio))
 
-    ballistic = s.x / s.v0
-    pts = [(r.Omega, r.delay - ballistic) for r in rows if r.delay - ballistic > 0]
-    slope = None
-    if len(pts) >= 2:
-        lx = np.log([p[0] for p in pts])
-        ly = np.log([p[1] for p in pts])
-        slope = float(np.polyfit(lx, ly, 1)[0])
+    slope = delay_slope([r.Omega for r in rows], [r.delay for r in rows], s.x, s.v0)
     return ControlSweepResult(rows=tuple(rows), slope=slope)
+
+
+def delay_slope(
+    omegas: Sequence[float], delays: Sequence[float], x: float, v0: float
+) -> float | None:
+    """Slope of log(delay - x/v0) against log(Omega).
+
+    Only points with a positive layer-induced delay enter the fit; with fewer
+    than two of them no slope is reported.
+    """
+    excess = np.asarray(delays, dtype=float) - x / v0
+    keep = excess > 0
+    if np.count_nonzero(keep) < 2:
+        return None
+    log_omega = np.log(np.asarray(omegas, dtype=float)[keep])
+    return float(np.polyfit(log_omega, np.log(excess[keep]), 1)[0])

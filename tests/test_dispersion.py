@@ -5,6 +5,8 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polariton_lab.dispersion import (
     AbyssNotFoundError,
@@ -179,6 +181,19 @@ def test_group_velocity_matches_high_precision_derivative():
     assert v0 == pytest.approx(v_ref, rel=1e-6)
 
 
+def test_group_velocity_array_equals_scalar_calls():
+    m1, m2 = dielectric(), nimm()
+    grid = np.linspace(0.3, 0.5, 64) * WE
+    for pol in Polarization:
+        bound = sp_wavevector(m1, m2, grid, pol).bound
+        assert bound.any() and not bound.all()
+        v0 = group_velocity(m1, m2, grid[bound], pol)
+        scalar = [group_velocity(m1, m2, float(w), pol) for w in grid[bound]]
+        np.testing.assert_allclose(v0, scalar, rtol=1e-12, atol=0.0)
+        with pytest.raises(ValueError):
+            group_velocity(m1, m2, grid, pol)  # any unbound point rejects the array
+
+
 def test_group_velocity_requires_bound_mode():
     with pytest.raises(ValueError):
         group_velocity(dielectric(), nimm(), 0.405 * WE)  # backward-wave region
@@ -198,6 +213,11 @@ def test_find_abyss_grid_stability():
     coarse = find_abyss(dielectric(), nimm(), (0.3 * WE, 0.5 * WE), n_grid=512)
     fine = find_abyss(dielectric(), nimm(), (0.3 * WE, 0.5 * WE), n_grid=1024)
     assert abs(coarse.omega0 - fine.omega0) / fine.omega0 < 1e-6
+
+
+def test_find_abyss_rejects_grid_that_cannot_bracket():
+    with pytest.raises(ValueError):
+        find_abyss(dielectric(), nimm(), (0.3 * WE, 0.5 * WE), n_grid=2)
 
 
 def test_find_abyss_metal_has_no_cancellation():
@@ -239,3 +259,42 @@ def test_lossless_limit_continuity():
         dp0 = sp_wavevector(m1, lossless, omega)
         assert dp0.bound
         assert abs(dp0.kappa) < 1e-12 * dp0.k_par
+
+
+_MEDIUM2 = st.one_of(
+    st.just(silver()),
+    st.builds(dielectric, st.floats(1.0, 12.0)),
+    st.builds(
+        nimm,
+        gamma_m=st.floats(1e6, 1e14),
+        omega_m=st.floats(0.05 * WE, 1.5 * WE),
+    ),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    eps1=st.floats(1.0, 4.0),
+    m2=_MEDIUM2,
+    pol=st.sampled_from(Polarization),
+    xs=st.lists(st.floats(0.02, 1.5), min_size=1, max_size=24),
+)
+def test_array_wavevector_equals_scalar_calls(eps1, m2, pol, xs):
+    m1 = dielectric(eps1)
+    omegas = np.array(xs) * WE
+    try:
+        band = sp_wavevector(m1, m2, omegas, pol)
+    except NumericError:
+        # A degenerate frequency rejects the whole array, so a scalar call
+        # at that frequency must reject it too.
+        with pytest.raises(NumericError):
+            for w in omegas:
+                sp_wavevector(m1, m2, float(w), pol)
+        return
+    assert band.k_par.shape == omegas.shape
+    for i, w in enumerate(omegas):
+        dp = sp_wavevector(m1, m2, float(w), pol)
+        pairs = ((band.k_parallel[i], dp.k_parallel), (band.k1[i], dp.k1), (band.k2[i], dp.k2))
+        for got, want in pairs:
+            assert abs(got - want) <= 1e-12 * abs(want)
+        assert bool(band.bound[i]) == dp.bound

@@ -55,6 +55,28 @@ def test_nonpositive_omega_rejected():
         d_omega_material(silver(), -1e15)
 
 
+def test_array_evaluation_matches_scalar_calls():
+    omegas = np.geomspace(1e-2, 1e2, 33) * OMEGA_E_SILVER
+    for m in (nimm(), silver(), dielectric()):
+        r = eval_material(m, omegas)
+        de, dm = d_omega_material(m, omegas)
+        assert r.epsilon.shape == r.mu.shape == de.shape == dm.shape == omegas.shape
+        for i, omega in enumerate(omegas):
+            one = eval_material(m, float(omega))
+            assert r.epsilon[i] == pytest.approx(one.epsilon, rel=1e-15)
+            assert r.mu[i] == pytest.approx(one.mu, rel=1e-15)
+            de1, dm1 = d_omega_material(m, float(omega))
+            assert de[i] == pytest.approx(de1, rel=1e-15)
+            assert dm[i] == pytest.approx(dm1, rel=1e-15)
+
+
+def test_array_with_nonpositive_omega_rejected():
+    with pytest.raises(ValueError):
+        eval_material(nimm(), np.array([1e15, 0.0, 2e15]))
+    with pytest.raises(ValueError):
+        d_omega_material(nimm(), np.array([1e15, -1e15]))
+
+
 def test_derivative_constant():
     de, dm = d_omega_material(dielectric(), 5e15)
     assert de == 1.3 + 0j

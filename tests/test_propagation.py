@@ -9,6 +9,7 @@ from polariton_lab.eit import LambdaMediumParams
 from polariton_lab.errors import NumericError
 from polariton_lab.propagation import (
     PropagationScenario,
+    delay_slope,
     delay_vs_control,
     propagate_pulse,
     transfer_function,
@@ -127,6 +128,18 @@ def test_single_point_sweep_has_no_fit():
     sweep = delay_vs_control(scenario(), [1e9])
     assert sweep.slope is None
     assert len(sweep.rows) == 1
+
+
+def test_delay_slope_fits_positive_excess_only():
+    omegas = [0.5e9, 1e9, 2e9, 4e9]
+    ballistic = 1e-3 / V0
+    delays = [ballistic + 3e-7 * (1e9 / om) ** 2 for om in omegas]
+    assert delay_slope(omegas, delays, 1e-3, V0) == pytest.approx(-2.0, rel=1e-9)
+    # points at or below the ballistic delay are left out of the fit
+    delays[2] = delays[3] = ballistic
+    assert delay_slope(omegas, delays, 1e-3, V0) == pytest.approx(-2.0, rel=1e-9)
+    delays[1] = ballistic - 1e-9
+    assert delay_slope(omegas, delays, 1e-3, V0) is None
 
 
 def test_aliasing_detected():
