@@ -1,27 +1,25 @@
 """Scenario-driven command line: dispersion, lossmap, eit-spectrum, propagate.
 
 Each subcommand loads one INI scenario, runs the corresponding sweep and
-writes deterministic CSV files.  ``dispersion`` and ``lossmap`` solve each
-frequency band as one array pass (once per magnetic-decoherence ratio in
-``lossmap``); ``--jobs`` only spreads the (distance, control) combinations of
-``propagate`` over processes, and their results are assembled in grid order,
-so the output is byte-identical for any ``--jobs`` setting.  ``--plot`` adds
-minimal SVG renderings drawn from the rows already computed.  Exit codes:
-0 success, 2 configuration error, 3 numeric failure, 4 I/O error.  Log lines
-go to stderr as ``LEVEL key=value ...`` (never colored, so NO_COLOR is
-honored trivially).
+writes deterministic CSV files.  Every sweep is a serial run of array passes
+in one process: one per frequency band in ``dispersion``, one per
+magnetic-decoherence ratio in ``lossmap``, one per control amplitude in
+``eit-spectrum`` and one per (distance, control) pulse in ``propagate``.
+``--jobs`` is accepted and ignored, so the output is byte-identical for any
+``--jobs`` value.  ``--plot`` adds minimal SVG renderings drawn from the rows
+already computed.  Exit codes: 0 success, 2 configuration error, 3 numeric
+failure, 4 I/O error.  Log lines go to stderr as ``LEVEL key=value ...``
+(never colored, so NO_COLOR is honored trivially).
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -53,15 +51,6 @@ def log(level: str, **kv: Any) -> None:
     print(" ".join(parts), file=sys.stderr)
 
 
-def _map_ordered(fn: Callable, items: Sequence, jobs: int) -> list:
-    """Apply ``fn`` over ``items`` preserving order, optionally in parallel."""
-    if jobs <= 1 or len(items) < 4:
-        return [fn(item) for item in items]
-    chunk = max(1, len(items) // (4 * jobs))
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items, chunksize=chunk))
-
-
 def _footer(cfg: ScenarioConfig) -> dict[str, str]:
     return {"config_hash": cfg.config_hash, "tool_version": __version__}
 
@@ -85,7 +74,7 @@ def _bound(cfg: ScenarioConfig, omegas: np.ndarray, pol: Polarization) -> np.nda
         return np.zeros(omegas.shape, dtype=bool)
 
 
-def cmd_dispersion(cfg: ScenarioConfig, out: Path, plot: bool, jobs: int) -> list[Path]:
+def cmd_dispersion(cfg: ScenarioConfig, out: Path, plot: bool) -> list[Path]:
     kappa0 = cfg["band"]["kappa0"]
     omegas = _band(cfg)
     pol = cfg.polarization
@@ -127,7 +116,7 @@ def cmd_dispersion(cfg: ScenarioConfig, out: Path, plot: bool, jobs: int) -> lis
 
 # -------------------------------------------------------------------- lossmap
 
-def cmd_lossmap(cfg: ScenarioConfig, out: Path, plot: bool, jobs: int) -> list[Path]:
+def cmd_lossmap(cfg: ScenarioConfig, out: Path, plot: bool) -> list[Path]:
     kappa0 = cfg["band"]["kappa0"]
     lm = cfg["lossmap"]
     gamma_e = cfg["materials"]["gamma_e"]
@@ -206,7 +195,7 @@ def _resolve_alpha0_v0(cfg: ScenarioConfig) -> tuple[float, float]:
     return alpha0, v0
 
 
-def cmd_eit_spectrum(cfg: ScenarioConfig, out: Path, plot: bool, jobs: int) -> list[Path]:
+def cmd_eit_spectrum(cfg: ScenarioConfig, out: Path, plot: bool) -> list[Path]:
     eit = cfg["eit"]
     alpha0, _ = _resolve_alpha0_v0(cfg)
     gamma31 = eit["gamma31_linewidth"]
@@ -216,19 +205,16 @@ def cmd_eit_spectrum(cfg: ScenarioConfig, out: Path, plot: bool, jobs: int) -> l
 
     rows = []
     for om in eit["omega"]:
-        params = cfg.lambda_params(om)
-        for nu in nus:
-            resp = alpha_closed(params, alpha0, float(nu))
-            rows.append(
-                [
-                    nu / gamma31,
-                    om / gamma31,
-                    resp.alpha.real * x,
-                    resp.alpha.imag * x,
-                    resp.G.real,
-                    resp.G.imag,
-                ]
-            )
+        resp = alpha_closed(cfg.lambda_params(om), alpha0, nus)
+        columns = [
+            nus / gamma31,
+            np.full(nus.shape, om / gamma31),
+            resp.alpha.real * x,
+            resp.alpha.imag * x,
+            resp.G.real,
+            resp.G.imag,
+        ]
+        rows += np.column_stack(columns).tolist()
     header = [
         "nu_over_Gamma31[1]",
         "Omega_over_Gamma31[1]",
@@ -264,54 +250,41 @@ def cmd_eit_spectrum(cfg: ScenarioConfig, out: Path, plot: bool, jobs: int) -> l
 
 # ------------------------------------------------------------------ propagate
 
-def _propagate_one(args: tuple) -> tuple:
-    (scenario, gamma31, delta_t) = args
-    t, env, metrics = propagate_pulse(scenario)
-    profile = [[tv * gamma31, av] for tv, av in zip(t, np.abs(env))]
-    return profile, metrics
-
-
-def cmd_propagate(cfg: ScenarioConfig, out: Path, plot: bool, jobs: int) -> list[Path]:
+def cmd_propagate(cfg: ScenarioConfig, out: Path, plot: bool) -> list[Path]:
     pulse = cfg["pulse"]
     alpha0, v0 = _resolve_alpha0_v0(cfg)
     gamma31 = cfg["eit"]["gamma31_linewidth"]
     delta_t = pulse["delta_t"]
 
-    combos = [(xi, om) for xi in pulse["x"] for om in pulse["omega"]]
-    tasks = []
-    for xi, om in combos:
-        scenario = PropagationScenario(
-            delta_t=delta_t,
-            x=xi,
-            v0=v0,
-            kappa31=pulse["kappa31"],
-            alpha0=alpha0,
-            eit=cfg.lambda_params(om),
-            n_nu=pulse["n_nu"],
-            nu_span=pulse["nu_span_factor"] / delta_t,
-        )
-        tasks.append((scenario, gamma31, delta_t))
-    results = _map_ordered(_propagate_one, tasks, jobs)
-
     files: list[Path] = []
-    metrics_rows = []
     header_profile = ["t_Gamma31[1]", "abs_envelope[1]"]
-    for (xi, om), (profile, metrics) in zip(combos, results):
-        i_x = pulse["x"].index(xi)
-        i_om = pulse["omega"].index(om)
-        files.append(
-            write_csv(out / f"pulse_x{i_x}_om{i_om}.csv", header_profile, profile, _footer(cfg))
-        )
-        metrics_rows.append(
-            [
-                xi,
-                om / gamma31,
-                metrics.delay / delta_t,
-                metrics.amp_ratio,
-                metrics.vg,
-                metrics.l_sp,
-            ]
-        )
+    metrics_rows = []
+    slope_rows = []
+    curves = []  # the first control amplitude's envelope at each distance
+    for i_x, xi in enumerate(pulse["x"]):
+        delays = []
+        for i_om, om in enumerate(pulse["omega"]):
+            scenario = PropagationScenario(
+                delta_t=delta_t,
+                x=xi,
+                v0=v0,
+                kappa31=pulse["kappa31"],
+                alpha0=alpha0,
+                eit=cfg.lambda_params(om),
+                n_nu=pulse["n_nu"],
+                nu_span=pulse["nu_span_factor"] / delta_t,
+            )
+            t, env, m = propagate_pulse(scenario)
+            profile = np.column_stack([t * gamma31, np.abs(env)]).tolist()
+            path = out / f"pulse_x{i_x}_om{i_om}.csv"
+            files.append(write_csv(path, header_profile, profile, _footer(cfg)))
+            metrics_rows.append([xi, om / gamma31, m.delay / delta_t, m.amp_ratio, m.vg, m.l_sp])
+            delays.append(m.delay)
+            if i_om == 0:
+                curves.append(([r[0] for r in profile], [r[1] for r in profile], f"x={xi:g} m"))
+        slope = delay_slope(pulse["omega"], delays, xi, v0)
+        slope_rows.append([xi, math.nan if slope is None else slope])
+
     header_metrics = [
         "x[m]",
         "Omega_over_Gamma31[1]",
@@ -321,34 +294,19 @@ def cmd_propagate(cfg: ScenarioConfig, out: Path, plot: bool, jobs: int) -> list
         "l_sp[m]",
     ]
     files.append(write_csv(out / "metrics.csv", header_metrics, metrics_rows, _footer(cfg)))
-
     if len(pulse["omega"]) >= 2:
-        slope_rows = []
-        for xi in pulse["x"]:
-            runs = [(om, m.delay) for (xr, om), (_, m) in zip(combos, results) if xr == xi]
-            slope = delay_slope([r[0] for r in runs], [r[1] for r in runs], xi, v0)
-            slope_rows.append([xi, math.nan if slope is None else slope])
         files.append(
             write_csv(out / "slope.csv", ["x[m]", "delay_slope[1]"], slope_rows, _footer(cfg))
         )
-    log("INFO", cmd="propagate", runs=len(combos), out=str(out))
+    log("INFO", cmd="propagate", runs=len(metrics_rows), out=str(out))
 
     if plot:
-        om0 = pulse["omega"][0]
-        curves = []
-        t_axis = [row[0] for row in results[0][0]]
-        input_env = [
-            math.exp(-0.5 * (tv / (delta_t * gamma31)) ** 2) for tv in t_axis
-        ]
-        curves.append((t_axis, input_env, "input"))
-        for i_x, xi in enumerate(pulse["x"]):
-            idx = combos.index((xi, om0))
-            profile = results[idx][0]
-            curves.append(([r[0] for r in profile], [r[1] for r in profile], f"x={xi:g} m"))
+        t_axis = curves[0][0]
+        input_env = [math.exp(-0.5 * (tv / (delta_t * gamma31)) ** 2) for tv in t_axis]
         files.append(
             line_plot(
                 out / "fig_pulses.svg",
-                curves,
+                [(t_axis, input_env, "input")] + curves,
                 xlabel="t Gamma31",
                 ylabel="|envelope|",
                 title="slow-light propagation of the surface probe",
@@ -375,7 +333,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("command", choices=sorted(_COMMANDS))
     parser.add_argument("--config", type=Path, default=None, help="scenario INI file")
     parser.add_argument("--plot", action="store_true", help="also write SVG plots")
-    parser.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    parser.add_argument(
+        "--jobs", type=int, default=1, help="accepted and ignored; every sweep runs serially"
+    )
     parser.add_argument("--out", type=Path, default=None, help="output directory")
     parser.add_argument(
         "--validate", action="store_true", help="re-read outputs and check byte round-trip"
@@ -389,9 +349,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         cfg = load_config(args.config)
         out = args.out if args.out is not None else Path(cfg["output"]["directory"])
         out.mkdir(parents=True, exist_ok=True)
-        log("INFO", cmd=args.command, config=str(args.config), hash=cfg.config_hash,
-            jobs=args.jobs, out=str(out))
-        files = _COMMANDS[args.command](cfg, out, args.plot, max(1, args.jobs))
+        log("INFO", cmd=args.command, config=str(args.config), hash=cfg.config_hash, out=str(out))
+        files = _COMMANDS[args.command](cfg, out, args.plot)
         if args.validate:
             for f in files:
                 if f.suffix == ".csv" and not round_trip_ok(f):

@@ -32,12 +32,17 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
+from scipy.special import zeta
 
 from .errors import BranchCutError, NumericError
 
 _SERIES_RADIUS = 0.8
-_SERIES_TOL = 1e-14
+_CONNECTION_RADIUS = 1.25
+_SERIES_TOL = 1e-16
 _QUAD_EPS = 1e-12
+# pi/sin(pi*e) - 1/e = sum_k c_k e^(2k-1) with c_k = 2*(1 - 2^(1-2k))*zeta(2k),
+# highest k first; eight terms reach rounding level for |e| < 0.05.
+_CSC_ODD = [2.0 * (1.0 - 2.0 ** (1 - 2 * k)) * float(zeta(2 * k)) for k in range(8, 0, -1)]
 
 
 @dataclass(frozen=True)
@@ -87,161 +92,189 @@ class LambdaMediumParams:
 
 @dataclass(frozen=True)
 class EitResponse:
-    """Complex absorption alpha = alpha0 * G at one detuning."""
+    """Complex absorption alpha = alpha0 * G at one detuning or over an array of them."""
 
-    nu: float
-    alpha: complex
-    beta: complex
-    G: complex
-
-
-def _on_cut(z: complex) -> bool:
-    return z.imag == 0.0 and z.real >= 1.0
+    nu: float | np.ndarray
+    alpha: complex | np.ndarray
+    beta: complex | np.ndarray
+    G: complex | np.ndarray
 
 
-def hyp2f1_special(b: complex, z: complex) -> complex:
+def _on_cut(z: np.ndarray) -> np.ndarray:
+    return (z.imag == 0.0) & (z.real >= 1.0)
+
+
+def hyp2f1_special(b: complex, z: complex | np.ndarray) -> complex | np.ndarray:
     """Gauss hypergeometric 2F1(1, b; b+1; z) for Re(b) > 0, z off [1, inf).
 
-    Power series b*sum z^n/(b+n) inside |z| <= 0.8; elsewhere the integral
-    representation b*Int_0^1 t^(b-1)/(1 - z*t) dt by adaptive quadrature with
-    breakpoints clustered around the pole at t = 1/z.
+    ``z`` is a scalar (the result is a complex) or an ndarray (the result has
+    its shape); each element is evaluated in one of three regions:
+
+    * ``|z| <= 0.8``: the power series b*sum z^n/(b+n);
+    * ``|z| > 1.25``: the 1/z connection formula (:func:`_connection`);
+    * the ring between: adaptive quadrature of b*Int_0^1 t^(b-1)/(1-z*t) dt
+      with the pole at t = 1/z subtracted (:func:`_ring_integral`).
+
+    An element on the cut raises :class:`BranchCutError` for the whole call.
     """
     b = complex(b)
-    z = complex(z)
     if not b.real > 0:
         raise ValueError(f"need Re(b) > 0, got b = {b!r}")
-    if _on_cut(z):
-        raise BranchCutError(f"z = {z!r} lies on the branch cut [1, inf)")
+    shape = np.shape(z)
+    z = np.asarray(z, dtype=complex).reshape(-1)
+    cut = _on_cut(z)
+    if cut.any():
+        raise BranchCutError(f"z = {complex(z[cut][0])!r} lies on the branch cut [1, inf)")
 
-    if abs(z) <= _SERIES_RADIUS:
-        total = 0j
-        term = 0j
-        for n in range(400):
-            term = z**n / (b + n)
-            total += term
-            if abs(term) <= _SERIES_TOL * max(abs(total), 1e-300):
-                return b * total
-        raise NumericError(f"series for 2F1(1,{b!r};..;{z!r}) did not converge")
-
-    if abs(z) <= 2.0:
-        t_star = 1.0 / z
-        points = sorted(
-            {
-                p
-                for p in (abs(t_star), 3 * abs(t_star), t_star.real)
-                if 1e-14 < p < 1.0
-            }
-        )
-        integral = _quad_complex(lambda t: t ** (b - 1.0) / (1.0 - z * t), 0.0, 1.0, points)
-        return b * integral
-    return b * _integral_large_argument(b, z)
+    r = np.abs(z)
+    inner = r <= _SERIES_RADIUS
+    outer = r > _CONNECTION_RADIUS
+    F = np.empty(z.shape, dtype=complex)
+    F[inner] = _power_series(z[inner], b)
+    F[outer] = _connection(b, z[outer])
+    for i in np.flatnonzero(~(inner | outer)):
+        F[i] = _ring_integral(b, complex(z[i]))
+    F = b * F  # not in place: numpy multiplies a one-element array in place with other rounding
+    return complex(F[0]) if shape == () else F.reshape(shape)
 
 
-def _quad_complex(f, lo: float, hi: float, points: list[float] | None) -> complex:
-    """Adaptive real-axis quadrature of a complex integrand."""
+def _power_series(w: np.ndarray, shift: complex, skip: int = -1) -> np.ndarray:
+    """sum_{n >= 0, n != skip} w^n/(n + shift) for |w| <= 0.8.
+
+    Each element stops at its own first negligible term, so an element's
+    value does not depend on the other elements of the array.
+    """
+    total = np.zeros(w.shape, dtype=complex)
+    power = np.ones(w.shape, dtype=complex)
+    active = np.ones(w.shape, dtype=bool)
+    for n in range(400):
+        if n != skip:
+            term = power / (n + shift)
+            total = np.where(active, total + term, total)
+            active &= np.abs(term) > _SERIES_TOL * np.maximum(np.abs(total), 1e-300)
+            if not active.any():
+                return total
+        power = power * w
+    raise NumericError(f"2F1 series with shift {shift!r} did not converge")
+
+
+def _csc_minus_pole(eps: complex) -> complex:
+    """pi/sin(pi*eps) - 1/eps, which is 0 at eps = 0."""
+    if abs(eps) >= 0.05:
+        return math.pi / cmath.sin(math.pi * eps) - 1.0 / eps
+    return eps * complex(np.polyval(_CSC_ODD, eps * eps))
+
+
+def _connection(b: complex, z: np.ndarray) -> np.ndarray:
+    """2F1(1, b; b+1; z)/b for |z| > 1.25 from the 1/z connection formula.
+
+    DLMF 15.8.2 gives F/b = pi*(-z)^(-b)/sin(pi*b) + sum_{n>=0} z^(-n-1)/(n+1-b).
+    With m = round(Re b), eps = b - m and L = log(-z), the sine term and the
+    n = m-1 term of the sum have cancelling poles at eps = 0; together they are
+
+        z^(-m) * [e^(-eps*L)*(pi/sin(pi*eps) - 1/eps) + expm1(-eps*L)/eps],
+
+    whose limit at eps = 0 is -L*z^(-m).  So integer, near-integer and
+    complex b take the same formula.  For m = 0 (Re b <= 1/2) the sum has no
+    pole to pair, and the sine term is used as it stands.
+    """
+    m = round(b.real)
+    eps = b - m
+    L = np.log(-z)
+    if m == 0:
+        pair = np.exp(-b * L) * (math.pi / cmath.sin(math.pi * b))
+    else:
+        x = -eps * L  # expm1(x)/eps = -L * expm1(x)/x, and expm1(x)/x = 1 + x/2 + O(x^2)
+        small = np.abs(x) < 1e-8
+        tail = -L * np.where(small, 1.0 + x / 2, np.expm1(x) / np.where(small, 1.0, x))
+        pair = np.exp(x) * _csc_minus_pole(eps) + tail
+    w = 1.0 / z
+    return w**m * pair + w * _power_series(w, 1.0 - b, skip=m - 1)
+
+
+def _ring_integral(b: complex, z: complex) -> complex:
+    """Int_0^1 t^(b-1)/(1-z*t) dt for 0.8 < |z| <= 1.25 by adaptive quadrature.
+
+    Within 45 degrees of the cut the pole at t* = 1/z is subtracted: with
+    c = t*^(b-1) the remainder (t^(b-1) - c)/(1-z*t) is regular at t*, so the
+    quadrature stays accurate however close z is to the cut, and
+    c*Int_0^1 dt/(1-z*t) = -c*log(1-z)/z.  Farther out the pole is far from
+    [0, 1], and c, up to e^(pi*|Im b|) in size, would only cancel digits.
+    """
+    c = (1.0 / z) ** (b - 1.0) if abs(cmath.phase(z)) < math.pi / 4 else 0.0
+
+    def f(t: float) -> complex:
+        return (t ** (b - 1.0) - c) / (1.0 - z * t)
+
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IntegrationWarning)
-        re, re_err = quad(
-            lambda t: f(t).real, lo, hi,
-            epsabs=1e-13, epsrel=_QUAD_EPS, limit=500, points=points or None,
-        )
-        im, im_err = quad(
-            lambda t: f(t).imag, lo, hi,
-            epsabs=1e-13, epsrel=_QUAD_EPS, limit=500, points=points or None,
-        )
-    value = complex(re, im)
-    if re_err + im_err > 1e-8 * (1.0 + abs(value)):
+        # At epsrel = 1e-12 QUADPACK underestimates its error by ~100x here.
+        re, re_err = quad(lambda t: f(t).real, 0.0, 1.0, epsabs=1e-14, epsrel=1e-13, limit=500)
+        im, im_err = quad(lambda t: f(t).imag, 0.0, 1.0, epsabs=1e-14, epsrel=1e-13, limit=500)
+    rest = complex(re, im)
+    if re_err + im_err > 1e-8 * (1.0 + abs(rest)):
         raise NumericError(
-            f"quadrature did not converge on [{lo}, {hi}]: value={value!r} "
-            f"err={re_err + im_err:.3e}"
+            f"2F1 quadrature did not converge at z = {z!r}: err={re_err + im_err:.3e}"
         )
-    return value
+    return rest - c * cmath.log(1.0 - z) / z
 
 
-def _power_integral(b_minus_m: complex, a: float) -> complex:
-    """Int_a^1 t^(b-m-1) dt = (1 - a^(b-m)) / (b-m), stable near b = m."""
-    x = b_minus_m * math.log(a)
-    if abs(x) < 1e-8:
-        # (1 - e^x)/x'-type removable limit, x' = b-m
-        return -math.log(a) * (1.0 + x / 2.0 + x * x / 6.0)
-    return (1.0 - cmath.exp(x)) / b_minus_m
-
-
-def _integral_large_argument(b: complex, z: complex) -> complex:
-    """Int_0^1 t^(b-1)/(1-z*t) dt for |z| > 2.
-
-    The pole and boundary layer sit at |t| ~ 1/|z|, arbitrarily small, so the
-    head [0, a] is rescaled to v = |z|*t (all features become O(1)) and the
-    tail [a, 1] uses the geometrically convergent expansion of 1/(1-z*t) in
-    inverse powers of z*t with closed-form term integrals.
-    """
-    mod = abs(z)
-    phase = z / mod
-    v_hi = min(20.0, mod)
-    a = v_hi / mod
-
-    head = _quad_complex(
-        lambda v: v ** (b - 1.0) / (1.0 - phase * v),
-        0.0,
-        v_hi,
-        [p for p in (0.5, 1.0, 2.0) if p < v_hi],
-    )
-    head *= cmath.exp(-b * math.log(mod))
-
-    if a >= 1.0:
-        return head
-
-    tail = 0j
-    z_pow = 1.0 + 0j
-    for m in range(1, 80):
-        z_pow /= z
-        term = -z_pow * _power_integral(b - m, a)
-        tail += term
-        if abs(term) <= 1e-16 * max(abs(tail) + abs(head), 1e-300):
-            return head + tail
-    raise NumericError(f"tail expansion did not converge for b={b!r}, z={z!r}")
-
-
-def _pair_product(p: LambdaMediumParams, nu: float) -> complex:
+def _pair_product(p: LambdaMediumParams, nu: float | np.ndarray) -> complex | np.ndarray:
     return (nu + 1j * p.gamma21) * (nu + 1j * p.Gamma31)
 
 
-def alpha_closed(p: LambdaMediumParams, alpha0: float, nu: float) -> EitResponse:
-    """Closed-form layer absorption alpha0 * G(nu).
+def _kernel_arguments(p: LambdaMediumParams, nu: np.ndarray, decay_c: float) -> tuple:
+    """Mask of finite 1/beta, beta, and the 2F1 arguments 1/beta and decay_c/beta there."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        beta = _pair_product(p, nu) / p.Omega**2
+        live = np.isfinite(1.0 / beta)
+    safe = np.where(live, beta, 1.0)
+    return live, beta, 1.0 / safe, decay_c / safe
 
-    Omega = 0 is served through the analytic control-off limit (both 2F1
-    factors -> 1).  If 1/beta lands exactly on the 2F1 branch cut the detuning
-    is nudged by 1e-6*Gamma31 with a warning; the singular set has measure
-    zero and the nudge keeps results reproducible.
+
+def alpha_closed(p: LambdaMediumParams, alpha0: float, nu: float | np.ndarray) -> EitResponse:
+    """Closed-form layer absorption alpha0 * G(nu) at a scalar or an ndarray ``nu``.
+
+    Omega = 0 (or an Omega whose square is subnormal) is served through the
+    analytic control-off limit (both 2F1 factors -> 1).  An exact two-photon
+    resonance with no ground decoherence (w = 0) is transparent, and so is a
+    beta too small for 1/beta to be finite (the beta -> 0 limit, G -> 0).
+    Where 1/beta lands exactly on the 2F1 branch cut the detuning is nudged
+    once by 1e-6*Gamma31 with a warning; the singular set has measure zero
+    and the nudge keeps results reproducible.  A detuning still on the cut
+    raises BranchCutError.  A scalar ``nu`` gives a response of Python
+    scalars, an array one of arrays.
     """
+    scalar = np.ndim(nu) == 0
+    nu = np.array(nu, dtype=float, ndmin=1)
     decay_s = math.exp(-2.0 * p.k1s * p.z0) if math.isfinite(p.z0) else 0.0
     decay_c = math.exp(-2.0 * p.k1c * p.z0) if math.isfinite(p.z0) else 0.0
-    prefactor = 1j * p.Gamma31 / (nu + 1j * p.Gamma31)
 
-    if p.Omega == 0.0:
-        G = prefactor * (1.0 - decay_s)
-        return EitResponse(nu=nu, alpha=alpha0 * G, beta=complex(math.inf), G=G)
-
-    w = _pair_product(p, nu)
-    if w == 0:
-        # Exact two-photon resonance with no ground decoherence: transparent.
-        return EitResponse(nu=nu, alpha=0j, beta=0j, G=0j)
-
-    beta = w / p.Omega**2
-    if _on_cut(1.0 / beta) or _on_cut(decay_c / beta):
-        nudged = nu + 1e-6 * p.Gamma31
-        warnings.warn(
-            f"1/beta on the branch cut at nu = {nu:.6e}; "
-            f"detuning nudged to {nudged:.6e}",
-            stacklevel=2,
+    if p.Omega**2 < np.finfo(float).tiny:
+        G = 1j * p.Gamma31 / (nu + 1j * p.Gamma31) * (1.0 - decay_s)
+        beta = np.full(nu.shape, complex(math.inf))
+    else:
+        live, beta, z1, z2 = _kernel_arguments(p, nu, decay_c)
+        on_cut = live & (_on_cut(z1) | _on_cut(z2))
+        if on_cut.any():
+            nudged = nu[on_cut] + 1e-6 * p.Gamma31
+            warnings.warn(
+                f"1/beta on the branch cut at nu = {nu[on_cut][0]:.6e}; "
+                f"detuning nudged to {nudged[0]:.6e}",
+                stacklevel=2,
+            )
+            nu[on_cut] = nudged
+            live, beta, z1, z2 = _kernel_arguments(p, nu, decay_c)
+        b = p.k1s / p.k1c
+        G = np.zeros(nu.shape, dtype=complex)
+        G[live] = 1j * p.Gamma31 / (nu[live] + 1j * p.Gamma31) * (
+            hyp2f1_special(b, z1[live]) - decay_s * hyp2f1_special(b, z2[live])
         )
-        return alpha_closed(p, alpha0, nudged)
 
-    b = p.k1s / p.k1c
-    G = prefactor * (
-        hyp2f1_special(b, 1.0 / beta) - decay_s * hyp2f1_special(b, decay_c / beta)
-    )
-    return EitResponse(nu=nu, alpha=alpha0 * G, beta=beta, G=G)
+    alpha = alpha0 * G
+    if scalar:
+        return EitResponse(nu=nu.item(), alpha=alpha.item(), beta=beta.item(), G=G.item())
+    return EitResponse(nu=nu, alpha=alpha, beta=beta, G=G)
 
 
 def alpha_quadrature(p: LambdaMediumParams, gsq_over_v0: float, nu: float) -> complex:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -82,18 +82,18 @@ class PulseMetrics:
     centroid_delay: float
 
 
-def _alpha_of(s: PropagationScenario) -> Callable[[float], complex]:
-    if s.eit.n == 0.0 or s.alpha0 == 0.0:
-        return lambda nu: 0j
-    return lambda nu: alpha_closed(s.eit, s.alpha0, nu).alpha
+def transfer_function(s: PropagationScenario, nu: float | np.ndarray) -> complex | np.ndarray:
+    """Spectral factor exp{[i*nu/v0 - alpha(nu) - kappa31] * x} at a scalar or an ndarray ``nu``.
 
-
-def transfer_function(s: PropagationScenario, nu: float) -> complex:
-    """Spectral factor exp{[i*nu/v0 - alpha(nu) - kappa31] * x}."""
-    exponent = (1j * nu / s.v0 - _alpha_of(s)(nu) - s.kappa31) * s.x
-    if exponent.real < _EXP_FLOOR:
-        return 0j
-    return np.exp(exponent)
+    Where the exponent's real part is below -700 the factor is 0.
+    """
+    nu = np.asarray(nu, dtype=float)
+    alpha = 0.0
+    if s.eit.n != 0.0 and s.alpha0 != 0.0:
+        alpha = alpha_closed(s.eit, s.alpha0, nu).alpha
+    exponent = (1j * (nu / s.v0) - alpha - s.kappa31) * s.x
+    h = np.where(exponent.real < _EXP_FLOOR, 0j, np.exp(exponent))
+    return complex(h) if h.ndim == 0 else h
 
 
 def _centered_inverse_transform(spectrum: np.ndarray, dnu: float) -> np.ndarray:
@@ -129,12 +129,7 @@ def propagate_pulse(
     nu = (np.arange(n) - n // 2) * dnu
     spectrum = s.delta_t / math.sqrt(2.0 * math.pi) * np.exp(-0.5 * (nu * s.delta_t) ** 2)
 
-    alpha_fn = _alpha_of(s)
-    exponent = np.empty(n, dtype=complex)
-    for i, v in enumerate(nu):
-        exponent[i] = (1j * v / s.v0 - alpha_fn(v) - s.kappa31) * s.x
-    exponent.real = np.maximum(exponent.real, _EXP_FLOOR)
-    env = _centered_inverse_transform(spectrum * np.exp(exponent), dnu)
+    env = _centered_inverse_transform(spectrum * transfer_function(s, nu), dnu)
 
     T = 2.0 * math.pi / dnu
     t = (np.arange(n) - n // 2) * (T / n)

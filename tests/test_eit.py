@@ -5,7 +5,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from polariton_lab import eit
 from polariton_lab.eit import (
     LambdaMediumParams,
     alpha_closed,
@@ -201,3 +204,81 @@ def test_parameter_validation_and_warning():
         params(k1s=-1.0)
     with pytest.warns(UserWarning):
         params(gamma21=0.5 * GAMMA31)
+
+
+def _assert_same_as_scalar_calls(p, alpha0, nus):
+    resp = alpha_closed(p, alpha0, nus)
+    assert resp.alpha.shape == nus.shape
+    for i, nu in enumerate(nus):
+        one = alpha_closed(p, alpha0, float(nu))
+        assert (resp.nu[i], resp.alpha[i], resp.beta[i], resp.G[i]) == (
+            one.nu, one.alpha, one.beta, one.G
+        )
+    return resp
+
+
+def test_array_response_equals_scalar_calls():
+    nus = np.linspace(-6 * GAMMA31, 6 * GAMMA31, 49)
+    for p in (
+        params(),
+        params(Omega=0.0),  # control-off limit
+        params(Omega=30 * GAMMA31, k1c=0.4e6, z0=3e-6),  # ring and large-|z| kernel
+        params(z0=math.inf),
+    ):
+        _assert_same_as_scalar_calls(p, 1e7, nus)
+
+
+def test_array_transparent_point_is_the_only_zero():
+    nus = np.linspace(-2 * GAMMA31, 2 * GAMMA31, 9)
+    assert nus[4] == 0.0
+    resp = _assert_same_as_scalar_calls(params(gamma21=0.0), 1e7, nus)
+    assert resp.alpha[4] == 0 and resp.beta[4] == 0
+    assert np.all(np.delete(resp.alpha, 4) != 0)
+
+
+def test_branch_cut_element_is_nudged(monkeypatch):
+    # With valid rates w = (nu + i*gamma21)(nu + i*Gamma31) is real only at
+    # nu = 0, where 1/beta is negative, or where nu*Gamma31 underflows; a
+    # product patched to put 1/beta = 2 at nu = 0 exercises the nudge.
+    p = params()
+    product = eit._pair_product
+    monkeypatch.setattr(
+        eit, "_pair_product", lambda p, nu: np.where(nu == 0, 0.5 * p.Omega**2, product(p, nu))
+    )
+    nus = np.array([-0.5 * GAMMA31, 0.0, 0.5 * GAMMA31])
+    with pytest.warns(UserWarning, match="branch cut"):
+        resp = alpha_closed(p, 1e7, nus)
+    with pytest.warns(UserWarning, match="branch cut"):
+        one = alpha_closed(p, 1e7, 0.0)
+    nudged = alpha_closed(p, 1e7, 1e-6 * GAMMA31)
+    assert resp.nu[1] == one.nu == nudged.nu == 1e-6 * GAMMA31
+    assert resp.alpha[1] == one.alpha == nudged.alpha
+    assert resp.alpha[0] == alpha_closed(p, 1e7, nus[0]).alpha
+
+
+def _lambda_params(gamma31, g21_frac, omega_frac, k1s, k_ratio, z0):
+    return LambdaMediumParams(
+        n=1e24, z0=z0, gamma21=g21_frac * gamma31, Gamma31=gamma31,
+        Omega=omega_frac * gamma31, k1s=k1s, k1c=k1s * k_ratio, Ly=2.5e-6,
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    p=st.builds(
+        _lambda_params,
+        gamma31=st.floats(1e8, 1e10),
+        g21_frac=st.floats(0.0, 0.05),
+        omega_frac=st.floats(0.0, 30.0),
+        k1s=st.floats(1e5, 1e7),
+        k_ratio=st.floats(0.2, 5.0),
+        z0=st.one_of(st.floats(1e-8, 1e-5), st.just(math.inf)),
+    )
+)
+def test_passivity_over_random_layers(p):
+    # alpha is a difference of two 2F1 terms of order alpha0; at the window
+    # centre with gamma21*Gamma31 << Omega^2 they cancel to far below alpha0,
+    # so rounding is bounded against alpha0, not against alpha itself.
+    alpha0 = 1e7
+    resp = alpha_closed(p, alpha0, np.linspace(-40 * p.Gamma31, 40 * p.Gamma31, 161))
+    assert np.all(resp.alpha.real >= -1e-12 * alpha0)

@@ -1,0 +1,87 @@
+"""2F1(1, b; b+1; z) in each of its regions, just off the cut, and as an array."""
+
+import math
+
+import mpmath as mp
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from polariton_lab.eit import hyp2f1_special
+from polariton_lab.errors import BranchCutError
+
+mp.mp.dps = 40
+
+
+def oracle(b: complex, z: complex) -> complex:
+    return complex(mp.hyp2f1(1, mp.mpmathify(b), mp.mpmathify(b) + 1, mp.mpmathify(z)))
+
+
+def test_b_equal_one_just_above_the_cut():
+    # -log(1-z)/z: 1-z sits just below the negative real axis
+    assert hyp2f1_special(1.0, 1.6 + 1e-9j) == pytest.approx(0.3193 + 1.9635j, abs=1e-4)
+    assert hyp2f1_special(1.0, 1.1 + 1e-9j).imag == pytest.approx(math.pi / 1.1, rel=1e-8)
+
+
+@pytest.mark.parametrize("b", [1.0, 1.5, 2.7])
+@pytest.mark.parametrize(
+    "z",
+    [x + 1j * y for x in (1.1, 1.6, 1.24) for y in (1e-9, 1e-7, 1e-6)]
+    + [1.01 - 1e-12j, 3.0 + 1e-9j, 3.0 - 1e-9j, 3.0 + 1e-6j],
+)
+def test_just_off_the_cut_matches_oracle(b, z):
+    ref = oracle(b, z)
+    assert abs(hyp2f1_special(b, z) - ref) <= 1e-13 * abs(ref), (b, z)
+
+
+def _polar(r, th):
+    return r * complex(math.cos(th), math.sin(th))
+
+
+_ANGLE = st.floats(-math.pi, math.pi)
+_Z = st.one_of(
+    st.builds(_polar, st.floats(0.0, 0.8), _ANGLE),  # series disc
+    st.builds(_polar, st.floats(0.8, 1.25, exclude_min=True), _ANGLE),  # quadrature ring
+    st.builds(  # just above or below the cut [1, inf)
+        lambda x, side, e: complex(x, side * 10.0**e),
+        st.floats(1.0, 1e6),
+        st.sampled_from((-1.0, 1.0)),
+        st.floats(-12.0, -3.0),
+    ),
+    st.builds(lambda e, th: _polar(10.0**e, th), st.floats(0.1, 7.0), _ANGLE),  # |z| up to 1e7
+).filter(lambda z: not (z.imag == 0.0 and z.real >= 1.0))
+_B = st.one_of(
+    st.floats(0.3, 4.0),
+    st.builds(  # within 1e-9..1e-3 of an integer
+        lambda k, side, e: k + side * 10.0**e,
+        st.integers(1, 4),
+        st.sampled_from((-1.0, 1.0)),
+        st.floats(-9.0, -3.0),
+    ),
+    st.builds(complex, st.floats(0.3, 4.0), st.floats(-2.0, 2.0)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(b=_B, z=_Z)
+def test_kernel_matches_oracle(b, z):
+    ref = oracle(b, z)
+    assert abs(hyp2f1_special(b, z) - ref) <= 1e-11 * abs(ref), (b, z)
+
+
+@settings(max_examples=40, deadline=None)
+@given(b=_B, zs=st.lists(_Z, min_size=1, max_size=12))
+def test_array_call_equals_scalar_calls(b, zs):
+    z = np.array(zs)
+    got = hyp2f1_special(b, z)
+    assert got.shape == z.shape
+    assert np.array_equal(got, [hyp2f1_special(b, v) for v in zs])
+    assert np.array_equal(hyp2f1_special(b, z.reshape(1, -1)), got.reshape(1, -1))
+
+
+@pytest.mark.parametrize("on_cut", [1.0, 2.5, 1e6])
+def test_one_element_on_the_cut_rejects_the_array(on_cut):
+    z = np.array([0.3 + 0.1j, -4.0, on_cut, 2.0 + 1e-9j])
+    with pytest.raises(BranchCutError):
+        hyp2f1_special(1.5, z)

@@ -166,3 +166,20 @@ def test_scenario_validation():
 def test_centroid_close_to_peak_for_symmetric_output():
     _, _, m = propagate_pulse(empty_layer())
     assert m.centroid_delay == pytest.approx(m.t_peak, rel=1e-3)
+
+
+def test_transfer_function_array_equals_scalar_calls():
+    nus = np.linspace(-3 * DT**-1, 3 * DT**-1, 25)
+    for s in (scenario(), empty_layer(), scenario(x=0.0), scenario(alpha0=0.0)):
+        h = transfer_function(s, nus)
+        assert h.shape == nus.shape
+        assert h.tolist() == [transfer_function(s, float(nu)) for nu in nus]
+
+
+def test_transfer_function_floors_only_the_opaque_bins():
+    # Off the transparency window Re(alpha)*x is far beyond 700.
+    s = scenario(alpha0=1e9)
+    nus = np.array([-1e9, 0.0, 1e9])
+    h = transfer_function(s, nus)
+    assert h[0] == h[2] == 0
+    assert h[1] != 0 and h[1] == transfer_function(s, 0.0)
