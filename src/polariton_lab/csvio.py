@@ -9,20 +9,13 @@ write cycle is byte-identical.
 
 from __future__ import annotations
 
-import math
 from pathlib import Path
 from typing import Iterable, Sequence
 
 
 def format_float(x: float) -> str:
-    if isinstance(x, bool):
-        return "1" if x else "0"
-    x = float(x)
-    if math.isnan(x):
-        return "nan"
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return format(x, ".17g")
+    """17 significant digits; nan, inf and -inf as such, a bool as 1 or 0."""
+    return "%.17g" % x
 
 
 def serialize(
@@ -32,10 +25,11 @@ def serialize(
 ) -> str:
     lines = [",".join(header)]
     width = len(header)
+    template = ",".join(["%.17g"] * width)
     for row in rows:
         if len(row) != width:
             raise ValueError(f"row width {len(row)} != header width {width}")
-        lines.append(",".join(format_float(v) for v in row))
+        lines.append(template % tuple(row))
     for key, value in (footer or {}).items():
         lines.append(f"# {key}={value}")
     return "\n".join(lines) + "\n"

@@ -30,16 +30,16 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy import constants as sc
-from scipy.optimize import minimize_scalar
 
 from .errors import AbyssNotFoundError, NumericError
 from .materials import HalfSpaceMaterial, d_omega_material, eval_material
 
-C = sc.c
+C = 299792458.0  # speed of light in vacuum, m/s (exact)
 
 _BC_RESIDUAL_TOL = 1e-8
 _DEGENERATE_TOL = 1e-12
+_ABYSS_XTOL = 1e-9
+_ZOOM_POINTS = 33
 
 
 class Polarization(Enum):
@@ -240,12 +240,15 @@ def find_abyss(
     """Locate the minimum of |kappa(w)| inside ``search_band``.
 
     A coarse scan of ``n_grid >= 3`` points, solved as one array, brackets
-    the minimum and golden-section refinement narrows it to a relative
-    frequency tolerance of 1e-9.  If the coarse minimum sits on a band edge
-    there is no interior minimum and
-    :class:`AbyssNotFoundError` is raised.  The loss-interference residual at
-    the minimizer is evaluated as a diagnostic; ``is_cancellation`` is False
-    when it exceeds 0.05 (a minimum exists but losses do not cancel there).
+    the minimum; each refinement step solves 33 points across the bracket as
+    one array and narrows it to the neighbours of their minimum, down to a
+    relative width of 1e-9.  Where kappa changes sign there (a genuine
+    cancellation), a linear step lands on the root, and the floor
+    ``kappa_at_omega0`` is zero to rounding.  A coarse minimum on a band
+    edge means no interior minimum: :class:`AbyssNotFoundError`.  The
+    loss-interference residual at the minimizer is a diagnostic;
+    ``is_cancellation`` is False when it exceeds 0.05 (a minimum exists but
+    losses do not cancel there).
     """
     lo, hi = search_band
     if not (0 < lo < hi):
@@ -253,30 +256,30 @@ def find_abyss(
     if n_grid < 3:
         raise ValueError(f"n_grid must be at least 3 to bracket a minimum, got {n_grid!r}")
 
-    def abs_kappa(w: float) -> float:
-        return abs(sp_wavevector(m1, m2, w, pol).kappa)
-
     grid = np.linspace(lo, hi, n_grid)
-    kappas = np.abs(sp_wavevector(m1, m2, grid, pol).kappa)
-    i = int(np.argmin(kappas))
+    kappa = sp_wavevector(m1, m2, grid, pol).kappa
+    i = int(np.argmin(np.abs(kappa)))
     if i == 0 or i == n_grid - 1:
         raise AbyssNotFoundError(
             f"no interior |kappa| minimum in [{lo:.6e}, {hi:.6e}] "
-            f"(edge value {kappas[i]:.6e} 1/m)"
+            f"(edge value {abs(kappa[i]):.6e} 1/m)"
         )
 
-    res = minimize_scalar(
-        abs_kappa,
-        bracket=(grid[i - 1], grid[i], grid[i + 1]),
-        method="golden",
-        options={"xtol": 1e-9},
-    )
-    if not res.success:
-        raise NumericError(f"golden-section refinement failed: {res.message}")
-    omega0 = float(res.x)
-    point = sp_wavevector(m1, m2, omega0, pol)
+    omega0, kappa0 = float(grid[i]), float(kappa[i])
+    a, c = grid[i - 1], grid[i + 1]
+    while c - a > _ABYSS_XTOL * omega0:
+        grid = np.linspace(a, c, _ZOOM_POINTS)
+        kappa = sp_wavevector(m1, m2, grid, pol).kappa
+        i = int(np.argmin(np.abs(kappa)))
+        omega0, kappa0 = float(grid[i]), float(kappa[i])
+        a, c = grid[max(i - 1, 0)], grid[min(i + 1, _ZOOM_POINTS - 1)]
+    for j in (i - 1, i + 1):  # a sign change of kappa: step to its root
+        if 0 <= j < len(grid) and kappa[j] * kappa0 < 0:
+            omega0 = float(grid[i] - kappa0 * (grid[j] - grid[i]) / (kappa[j] - kappa0))
+            kappa0 = sp_wavevector(m1, m2, omega0, pol).kappa
+            break
     residual = loss_cancellation_residual(m1, m2, omega0)
-    return AbyssResult(omega0=omega0, kappa_at_omega0=point.kappa, residual=residual)
+    return AbyssResult(omega0=omega0, kappa_at_omega0=kappa0, residual=residual)
 
 
 def swap_eps_mu(m: HalfSpaceMaterial) -> HalfSpaceMaterial:

@@ -31,8 +31,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
-from scipy.special import zeta
 
 from .errors import BranchCutError, NumericError
 
@@ -41,8 +39,10 @@ _CONNECTION_RADIUS = 1.25
 _SERIES_TOL = 1e-16
 _QUAD_EPS = 1e-12
 # pi/sin(pi*e) - 1/e = sum_k c_k e^(2k-1) with c_k = 2*(1 - 2^(1-2k))*zeta(2k),
-# highest k first; eight terms reach rounding level for |e| < 0.05.
-_CSC_ODD = [2.0 * (1.0 - 2.0 ** (1 - 2 * k)) * float(zeta(2 * k)) for k in range(8, 0, -1)]
+# k = 8 down to 1; eight terms reach rounding level for |e| < 0.05.
+_CSC_ODD = [1.9999695284298122, 1.9998783406919596, 1.9995153702877164, 1.9980790151965429,
+            1.992466003705296, 1.9711021825948705, 1.8940656589944918, 1.6449340668482264]
+_RING_NODES, _RING_WEIGHTS = np.polynomial.legendre.leggauss(24)  # on [-1, 1]
 
 
 @dataclass(frozen=True)
@@ -100,10 +100,6 @@ class EitResponse:
     G: complex | np.ndarray
 
 
-def _on_cut(z: np.ndarray) -> np.ndarray:
-    return (z.imag == 0.0) & (z.real >= 1.0)
-
-
 def hyp2f1_special(b: complex, z: complex | np.ndarray) -> complex | np.ndarray:
     """Gauss hypergeometric 2F1(1, b; b+1; z) for Re(b) > 0, z off [1, inf).
 
@@ -112,28 +108,31 @@ def hyp2f1_special(b: complex, z: complex | np.ndarray) -> complex | np.ndarray:
 
     * ``|z| <= 0.8``: the power series b*sum z^n/(b+n);
     * ``|z| > 1.25``: the 1/z connection formula (:func:`_connection`);
-    * the ring between: adaptive quadrature of b*Int_0^1 t^(b-1)/(1-z*t) dt
-      with the pole at t = 1/z subtracted (:func:`_ring_integral`).
+    * the ring between: continuation of the series along the ray through
+      ``z`` by a fixed Gauss-Legendre rule (:func:`_ring`).
 
-    An element on the cut raises :class:`BranchCutError` for the whole call.
+    Every region is one array pass, so an element's value does not depend on
+    the other elements.  An element on the cut raises
+    :class:`BranchCutError` for the whole call.
     """
     b = complex(b)
     if not b.real > 0:
         raise ValueError(f"need Re(b) > 0, got b = {b!r}")
     shape = np.shape(z)
     z = np.asarray(z, dtype=complex).reshape(-1)
-    cut = _on_cut(z)
+    cut = (z.imag == 0.0) & (z.real >= 1.0)
     if cut.any():
         raise BranchCutError(f"z = {complex(z[cut][0])!r} lies on the branch cut [1, inf)")
 
     r = np.abs(z)
-    inner = r <= _SERIES_RADIUS
     outer = r > _CONNECTION_RADIUS
+    ring = (r > _SERIES_RADIUS) & ~outer
+    w = z.copy()
+    w[ring] = _SERIES_RADIUS * (z[ring] / r[ring])  # where the ring leaves the series disc
     F = np.empty(z.shape, dtype=complex)
-    F[inner] = _power_series(z[inner], b)
+    F[~outer] = _power_series(w[~outer], b)
     F[outer] = _connection(b, z[outer])
-    for i in np.flatnonzero(~(inner | outer)):
-        F[i] = _ring_integral(b, complex(z[i]))
+    F[ring] = _ring(b, z[ring], F[ring])
     F = b * F  # not in place: numpy multiplies a one-element array in place with other rounding
     return complex(F[0]) if shape == () else F.reshape(shape)
 
@@ -192,31 +191,37 @@ def _connection(b: complex, z: np.ndarray) -> np.ndarray:
     return w**m * pair + w * _power_series(w, 1.0 - b, skip=m - 1)
 
 
-def _ring_integral(b: complex, z: complex) -> complex:
-    """Int_0^1 t^(b-1)/(1-z*t) dt for 0.8 < |z| <= 1.25 by adaptive quadrature.
+def _ring(b: complex, z: np.ndarray, phi0: np.ndarray) -> np.ndarray:
+    """2F1(1, b; b+1; z)/b for 0.8 < |z| <= 1.25 by continuation from |z| = 0.8.
 
-    Within 45 degrees of the cut the pole at t* = 1/z is subtracted: with
-    c = t*^(b-1) the remainder (t^(b-1) - c)/(1-z*t) is regular at t*, so the
-    quadrature stays accurate however close z is to the cut, and
-    c*Int_0^1 dt/(1-z*t) = -c*log(1-z)/z.  Farther out the pole is far from
-    [0, 1], and c, up to e^(pi*|Im b|) in size, would only cancel digits.
+    Phi = F/b = sum z^n/(n+b) obeys d/dr [r^b Phi(r*zh)] = r^(b-1)/(1 - r*zh)
+    on the ray zh = z/|z| (DLMF 15.6.1), so with r0 = 0.8 and g(r) = (r/|z|)^b/r
+
+        Phi(z) = (r0/|z|)^b * Phi(r0*zh) + Int_{r0}^{|z|} g(r)/(1 - r*zh) dr,
+
+    with Phi(r0*zh) = ``phi0`` from the caller's series pass and the integral
+    on 24 Gauss-Legendre nodes (g is singular only at r = 0, 0.8 from the
+    path).  Within 45 degrees of the cut the pole at r* = 1/zh is
+    subtracted, leaving a regular remainder, and added back as
+    -g(r*)*[log(1-z) - log(1-r0*zh)]/zh, so z may lie as close to the cut as
+    it likes.  Farther out g(r*), up to e^(pi*|Im b|) in size, would only
+    cancel digits.
     """
-    c = (1.0 / z) ** (b - 1.0) if abs(cmath.phase(z)) < math.pi / 4 else 0.0
-
-    def f(t: float) -> complex:
-        return (t ** (b - 1.0) - c) / (1.0 - z * t)
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        # At epsrel = 1e-12 QUADPACK underestimates its error by ~100x here.
-        re, re_err = quad(lambda t: f(t).real, 0.0, 1.0, epsabs=1e-14, epsrel=1e-13, limit=500)
-        im, im_err = quad(lambda t: f(t).imag, 0.0, 1.0, epsabs=1e-14, epsrel=1e-13, limit=500)
-    rest = complex(re, im)
-    if re_err + im_err > 1e-8 * (1.0 + abs(rest)):
-        raise NumericError(
-            f"2F1 quadrature did not converge at z = {z!r}: err={re_err + im_err:.3e}"
-        )
-    return rest - c * cmath.log(1.0 - z) / z
+    r = np.abs(z)
+    zh = z / r
+    start = _SERIES_RADIUS * zh
+    half = 0.5 * (r - _SERIES_RADIUS)
+    nodes = _SERIES_RADIUS + half[:, None] * (_RING_NODES + 1.0)
+    pole = 1.0 / zh
+    near = np.abs(np.angle(z)) < math.pi / 4
+    c = np.where(near, np.exp(b * np.log(pole / r)) / pole, 0.0)
+    g = np.exp(b * np.log(nodes / r[:, None])) / nodes
+    rest = half * np.sum(_RING_WEIGHTS * (g - c[:, None]) / (1.0 - nodes * zh[:, None]), axis=1)
+    return (
+        np.exp(b * np.log(_SERIES_RADIUS / r)) * phi0
+        + rest
+        - c * (np.log(1.0 - z) - np.log(1.0 - start)) / zh
+    )
 
 
 def _pair_product(p: LambdaMediumParams, nu: float | np.ndarray) -> complex | np.ndarray:
@@ -239,11 +244,10 @@ def alpha_closed(p: LambdaMediumParams, alpha0: float, nu: float | np.ndarray) -
     analytic control-off limit (both 2F1 factors -> 1).  An exact two-photon
     resonance with no ground decoherence (w = 0) is transparent, and so is a
     beta too small for 1/beta to be finite (the beta -> 0 limit, G -> 0).
-    Where 1/beta lands exactly on the 2F1 branch cut the detuning is nudged
-    once by 1e-6*Gamma31 with a warning; the singular set has measure zero
-    and the nudge keeps results reproducible.  A detuning still on the cut
-    raises BranchCutError.  A scalar ``nu`` gives a response of Python
-    scalars, an array one of arrays.
+    A detuning whose 1/beta lands on the 2F1 branch cut raises
+    BranchCutError; with validated rates that happens only where
+    nu*(gamma21 + Gamma31) underflows.  A scalar ``nu`` gives a response of
+    Python scalars, an array one of arrays.
     """
     scalar = np.ndim(nu) == 0
     nu = np.array(nu, dtype=float, ndmin=1)
@@ -255,16 +259,6 @@ def alpha_closed(p: LambdaMediumParams, alpha0: float, nu: float | np.ndarray) -
         beta = np.full(nu.shape, complex(math.inf))
     else:
         live, beta, z1, z2 = _kernel_arguments(p, nu, decay_c)
-        on_cut = live & (_on_cut(z1) | _on_cut(z2))
-        if on_cut.any():
-            nudged = nu[on_cut] + 1e-6 * p.Gamma31
-            warnings.warn(
-                f"1/beta on the branch cut at nu = {nu[on_cut][0]:.6e}; "
-                f"detuning nudged to {nudged[0]:.6e}",
-                stacklevel=2,
-            )
-            nu[on_cut] = nudged
-            live, beta, z1, z2 = _kernel_arguments(p, nu, decay_c)
         b = p.k1s / p.k1c
         G = np.zeros(nu.shape, dtype=complex)
         G[live] = 1j * p.Gamma31 / (nu[live] + 1j * p.Gamma31) * (
@@ -281,8 +275,12 @@ def alpha_quadrature(p: LambdaMediumParams, gsq_over_v0: float, nu: float) -> co
     """Layer absorption by direct adaptive quadrature of the z integral.
 
     ``gsq_over_v0`` is |g|^2/v0; the uniform-density y integral contributes
-    the factor Ly.  This is the independent oracle for :func:`alpha_closed`.
+    the factor Ly.  This is the independent oracle for :func:`alpha_closed`,
+    and the package's only user of scipy, imported here so that the closed
+    form and the CLI load numpy alone.
     """
+    from scipy.integrate import IntegrationWarning, quad
+
     if p.n == 0.0 or gsq_over_v0 == 0.0:
         return 0j
     w = _pair_product(p, nu)

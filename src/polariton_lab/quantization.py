@@ -24,19 +24,17 @@ import warnings
 from dataclasses import dataclass
 from typing import Sequence, Union
 
-from scipy import constants as sc
-
-from .dispersion import DispersionPoint
+from .dispersion import C, DispersionPoint, Polarization
 from .errors import NumericError
 from .materials import HalfSpaceMaterial, d_omega_material, eval_material
 
-HBAR = sc.hbar
-EPS0 = sc.epsilon_0
-C = sc.c
+# CODATA 2022 values.
+HBAR = 1.0545718176461565e-34  # reduced Planck constant, J*s
+EPS0 = 8.8541878188e-12  # vacuum permittivity, F/m
 
-# |d| ~ e * a0 is the order-of-magnitude optical dipole moment used in the
-# resonant-absorption estimates.
-DIPOLE_EA0 = sc.e * sc.physical_constants["Bohr radius"][0]
+# |d| ~ e * a0 (elementary charge times Bohr radius) is the order-of-magnitude
+# optical dipole moment used in the resonant-absorption estimates.
+DIPOLE_EA0 = 1.602176634e-19 * 5.29177210544e-11
 
 
 @dataclass(frozen=True)
@@ -71,7 +69,9 @@ def mode_normalization(
     dp: DispersionPoint,
     Ly: float,
 ) -> ModeNormalization:
-    """Evaluate D, S, Lz and the per-photon amplitude E0 for a bound mode."""
+    """Evaluate D, S, Lz and the per-photon amplitude E0 for a bound TM mode."""
+    if dp.polarization is not Polarization.TM:
+        raise ValueError(f"mode normalization is TM-only, got a {dp.polarization.value} point")
     if not dp.bound:
         raise ValueError("mode normalization requires a bound dispersion point")
     if not Ly > 0:

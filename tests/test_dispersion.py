@@ -215,6 +215,28 @@ def test_find_abyss_grid_stability():
     assert abs(coarse.omega0 - fine.omega0) / fine.omega0 < 1e-6
 
 
+@pytest.mark.parametrize(
+    "gamma_m, pol, band",
+    [(g, Polarization.TM, (0.3, 0.5)) for g in (2.73e8, 2.73e10, 2.73e12, 1.365e13)]
+    + [(1e11, Polarization.TE, (0.45, 0.55))],  # a minimum with no sign change
+)
+def test_find_abyss_matches_golden_section(gamma_m, pol, band):
+    from scipy.optimize import minimize_scalar
+
+    m1, m2 = dielectric(), nimm(gamma_m=gamma_m)
+    grid = np.linspace(band[0] * WE, band[1] * WE, 512)
+    i = int(np.argmin(np.abs(sp_wavevector(m1, m2, grid, pol).kappa)))
+    golden = minimize_scalar(
+        lambda w: abs(sp_wavevector(m1, m2, w, pol).kappa),
+        bracket=(grid[i - 1], grid[i], grid[i + 1]),
+        method="golden",
+        options={"xtol": 1e-9},
+    )
+    result = find_abyss(m1, m2, (band[0] * WE, band[1] * WE), pol)
+    assert result.omega0 == pytest.approx(golden.x, rel=1e-9)
+    assert abs(result.kappa_at_omega0) <= golden.fun * (1 + 1e-12)
+
+
 def test_find_abyss_rejects_grid_that_cannot_bracket():
     with pytest.raises(ValueError):
         find_abyss(dielectric(), nimm(), (0.3 * WE, 0.5 * WE), n_grid=2)

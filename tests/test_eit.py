@@ -15,6 +15,7 @@ from polariton_lab.eit import (
     alpha_quadrature,
     alpha_resonant,
 )
+from polariton_lab.errors import BranchCutError
 
 GAMMA31 = 1e9
 
@@ -236,24 +237,23 @@ def test_array_transparent_point_is_the_only_zero():
     assert np.all(np.delete(resp.alpha, 4) != 0)
 
 
-def test_branch_cut_element_is_nudged(monkeypatch):
+def test_branch_cut_element_raises(monkeypatch):
     # With valid rates w = (nu + i*gamma21)(nu + i*Gamma31) is real only at
-    # nu = 0, where 1/beta is negative, or where nu*Gamma31 underflows; a
-    # product patched to put 1/beta = 2 at nu = 0 exercises the nudge.
+    # nu = 0, where 1/beta is negative, or where nu*Gamma31 underflows, and
+    # no nudge of the detuning would leave that underflow; a product patched
+    # to put 1/beta = 2 at nu = 0 must raise, for a scalar and in an array.
     p = params()
     product = eit._pair_product
     monkeypatch.setattr(
         eit, "_pair_product", lambda p, nu: np.where(nu == 0, 0.5 * p.Omega**2, product(p, nu))
     )
-    nus = np.array([-0.5 * GAMMA31, 0.0, 0.5 * GAMMA31])
-    with pytest.warns(UserWarning, match="branch cut"):
-        resp = alpha_closed(p, 1e7, nus)
-    with pytest.warns(UserWarning, match="branch cut"):
-        one = alpha_closed(p, 1e7, 0.0)
-    nudged = alpha_closed(p, 1e7, 1e-6 * GAMMA31)
-    assert resp.nu[1] == one.nu == nudged.nu == 1e-6 * GAMMA31
-    assert resp.alpha[1] == one.alpha == nudged.alpha
-    assert resp.alpha[0] == alpha_closed(p, 1e7, nus[0]).alpha
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(BranchCutError):
+            alpha_closed(p, 1e7, np.array([-0.5 * GAMMA31, 0.0, 0.5 * GAMMA31]))
+        with pytest.raises(BranchCutError):
+            alpha_closed(p, 1e7, 0.0)
+        alpha_closed(p, 1e7, 0.5 * GAMMA31)
 
 
 def _lambda_params(gamma31, g21_frac, omega_frac, k1s, k_ratio, z0):

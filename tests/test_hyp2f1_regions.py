@@ -24,6 +24,36 @@ def test_b_equal_one_just_above_the_cut():
     assert hyp2f1_special(1.0, 1.1 + 1e-9j).imag == pytest.approx(math.pi / 1.1, rel=1e-8)
 
 
+def _polar(r, th):
+    return r * complex(math.cos(th), math.sin(th))
+
+
+_RING_B = [0.3, 1.0, 1.5, 2.7, 2.53 - 0.97j, 4.2 + 0.5j, 1.0 + 2.0j]
+_RING_Z = (
+    # near e^{+-i*pi/3}, where no linear transformation of 2F1 brings |z| below 1
+    [_polar(r, s * (math.pi / 3 + d)) for r in (0.97, 0.985, 1.0, 1.015, 1.03)
+     for s in (-1, 1) for d in (-0.01, 0.0, 0.01)]
+    # real z in (0.8, 1): the pole at 1 sits just past the end of the path
+    + [0.81, 0.85, 0.9, 0.95, 0.99, 0.999, 0.999999]
+    # just inside the ring's radii 0.8 and 1.25
+    + [_polar(r, th) for r in (0.8 * (1 + 1e-12), 0.8 * (1 + 1e-6), 1.25 * (1 - 1e-12), 1.25)
+       for th in (0.2, -0.7, 1.5, 2.9, -3.1)]
+)
+
+
+@pytest.mark.parametrize(
+    "b, zs",
+    [(b, _RING_Z) for b in _RING_B]
+    # a ring point that adaptive quadrature got only to 4.4e-10
+    + [(2.53 - 0.97j, [-0.4720019675241714 + 1.1246130255616935j])],
+)
+def test_ring_matches_oracle(b, zs):
+    got = hyp2f1_special(b, np.array(zs))
+    for z, value in zip(zs, got):
+        ref = oracle(b, z)
+        assert abs(value - ref) <= 1e-13 * abs(ref), (b, z)
+
+
 @pytest.mark.parametrize("b", [1.0, 1.5, 2.7])
 @pytest.mark.parametrize(
     "z",
@@ -35,14 +65,10 @@ def test_just_off_the_cut_matches_oracle(b, z):
     assert abs(hyp2f1_special(b, z) - ref) <= 1e-13 * abs(ref), (b, z)
 
 
-def _polar(r, th):
-    return r * complex(math.cos(th), math.sin(th))
-
-
 _ANGLE = st.floats(-math.pi, math.pi)
 _Z = st.one_of(
     st.builds(_polar, st.floats(0.0, 0.8), _ANGLE),  # series disc
-    st.builds(_polar, st.floats(0.8, 1.25, exclude_min=True), _ANGLE),  # quadrature ring
+    st.builds(_polar, st.floats(0.8, 1.25, exclude_min=True), _ANGLE),  # continuation ring
     st.builds(  # just above or below the cut [1, inf)
         lambda x, side, e: complex(x, side * 10.0**e),
         st.floats(1.0, 1e6),
@@ -52,14 +78,14 @@ _Z = st.one_of(
     st.builds(lambda e, th: _polar(10.0**e, th), st.floats(0.1, 7.0), _ANGLE),  # |z| up to 1e7
 ).filter(lambda z: not (z.imag == 0.0 and z.real >= 1.0))
 _B = st.one_of(
-    st.floats(0.3, 4.0),
+    st.floats(0.05, 8.0),
     st.builds(  # within 1e-9..1e-3 of an integer
         lambda k, side, e: k + side * 10.0**e,
         st.integers(1, 4),
         st.sampled_from((-1.0, 1.0)),
         st.floats(-9.0, -3.0),
     ),
-    st.builds(complex, st.floats(0.3, 4.0), st.floats(-2.0, 2.0)),
+    st.builds(complex, st.floats(0.05, 8.0), st.floats(-3.0, 3.0)),
 )
 
 

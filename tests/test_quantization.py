@@ -6,7 +6,7 @@ import math
 import mpmath as mp
 import pytest
 
-from polariton_lab.dispersion import sp_wavevector
+from polariton_lab.dispersion import Polarization, sp_wavevector
 from polariton_lab.errors import NumericError
 from polariton_lab.materials import (
     OMEGA_E_SILVER,
@@ -54,6 +54,14 @@ def test_unbound_mode_rejected():
     dp = sp_wavevector(dielectric(), nimm(), 0.405 * WE)  # backward-wave region
     assert not dp.bound
     with pytest.raises(ValueError):
+        mode_normalization(dielectric(), nimm(), dp, 2.5e-6)
+
+
+def test_te_point_rejected():
+    # The formula is TM-only; a bound TE point used to give Lz = 2.02e-5 + 1.27e-7i.
+    dp = sp_wavevector(dielectric(), nimm(), 0.4092 * WE, Polarization.TE)
+    assert dp.bound
+    with pytest.raises(ValueError, match="TM-only"):
         mode_normalization(dielectric(), nimm(), dp, 2.5e-6)
 
 
