@@ -3,8 +3,9 @@
 Each subcommand loads one INI scenario, runs the corresponding sweep and
 writes deterministic CSV files.  Every sweep is a serial run of array passes
 in one process: one per frequency band in ``dispersion``, one per
-magnetic-decoherence ratio in ``lossmap``, one per control amplitude in
-``eit-spectrum`` and one per (distance, control) pulse in ``propagate``.
+magnetic-decoherence ratio in ``lossmap``, one over the whole (control
+amplitude, detuning) grid in ``eit-spectrum`` and one per (distance,
+control) pulse in ``propagate``.
 ``--jobs`` is accepted and ignored, so the output is byte-identical for any
 ``--jobs`` value.  ``--plot`` adds minimal SVG renderings drawn from the rows
 already computed.  Exit codes: 0 success, 2 configuration error, 3 numeric
@@ -203,18 +204,18 @@ def cmd_eit_spectrum(cfg: ScenarioConfig, out: Path, plot: bool) -> list[Path]:
     nus = np.linspace(-span, span, eit["n_nu"])
     x = eit["x"]
 
-    rows = []
-    for om in eit["omega"]:
-        resp = alpha_closed(cfg.lambda_params(om), alpha0, nus)
-        columns = [
-            nus / gamma31,
-            np.full(nus.shape, om / gamma31),
-            resp.alpha.real * x,
-            resp.alpha.imag * x,
-            resp.G.real,
-            resp.G.imag,
-        ]
-        rows += np.column_stack(columns).tolist()
+    omegas = np.array(eit["omega"], dtype=float)
+    grid = np.broadcast_to(nus, (omegas.size, nus.size))  # row i is control amplitude i
+    resp = alpha_closed(cfg.lambda_params(omegas[:, None]), alpha0, grid)
+    columns = [
+        grid / gamma31,
+        np.repeat(omegas / gamma31, nus.size),
+        resp.alpha.real * x,
+        resp.alpha.imag * x,
+        resp.G.real,
+        resp.G.imag,
+    ]
+    rows = np.column_stack([c.ravel() for c in columns]).tolist()
     header = [
         "nu_over_Gamma31[1]",
         "Omega_over_Gamma31[1]",

@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
+import numpy as np
+
 from .csvio import format_float
 from .dispersion import Polarization
 from .eit import LambdaMediumParams
@@ -99,7 +101,7 @@ class ScenarioConfig:
     def __getitem__(self, section: str) -> dict[str, Any]:
         return self.values[section]
 
-    def lambda_params(self, omega_rabi: float) -> LambdaMediumParams:
+    def lambda_params(self, omega_rabi: float | np.ndarray) -> LambdaMediumParams:
         e = self.values["eit"]
         return LambdaMediumParams(
             n=e["n"],

@@ -56,13 +56,18 @@ class LambdaMediumParams:
     thickness pins the slow-light delay of the reference pulse scenarios
     (delay scales with n * z0 at fixed alpha0, and only the product is
     constrained by the headline numbers).
+
+    ``Omega`` is a float or an ndarray of control amplitudes that broadcasts
+    against the detunings given to :func:`alpha_closed`, which then
+    evaluates every (Omega, nu) pair at once; each element must be
+    non-negative.  :func:`alpha_quadrature` takes a scalar ``Omega`` only.
     """
 
     n: float = 1e24
     z0: float = 1e-8
     gamma21: float = 1e3
     Gamma31: float = 1e9
-    Omega: float = 1e9
+    Omega: float | np.ndarray = 1e9
     k1s: float = 1e6
     k1c: float = 1e6
     Ly: float = 2.5e-6
@@ -76,7 +81,7 @@ class LambdaMediumParams:
             raise ValueError("gamma21 must be non-negative")
         if not self.Gamma31 > 0:
             raise ValueError("Gamma31 must be positive")
-        if self.Omega < 0:
+        if np.any(np.asarray(self.Omega) < 0):
             raise ValueError("Omega must be non-negative")
         if not (self.k1s > 0 and self.k1c > 0):
             raise ValueError("k1s and k1c must be positive")
@@ -141,8 +146,14 @@ def _power_series(w: np.ndarray, shift: complex, skip: int = -1) -> np.ndarray:
     """sum_{n >= 0, n != skip} w^n/(n + shift) for |w| <= 0.8.
 
     Each element stops at its own first negligible term, so an element's
-    value does not depend on the other elements of the array.
+    value does not depend on the other elements of the array.  Once at least
+    half of the working elements have stopped, their totals are stored and
+    the working arrays shrink to the live ones: elements near |w| = 0.8 need
+    about 165 terms, most others far fewer.  (Shrinking on every term costs
+    more in copies than it saves.)
     """
+    out = np.empty(w.shape, dtype=complex)
+    index = np.arange(w.size)
     total = np.zeros(w.shape, dtype=complex)
     power = np.ones(w.shape, dtype=complex)
     active = np.ones(w.shape, dtype=bool)
@@ -151,8 +162,13 @@ def _power_series(w: np.ndarray, shift: complex, skip: int = -1) -> np.ndarray:
             term = power / (n + shift)
             total = np.where(active, total + term, total)
             active &= np.abs(term) > _SERIES_TOL * np.maximum(np.abs(total), 1e-300)
-            if not active.any():
-                return total
+            n_live = np.count_nonzero(active)
+            if 2 * n_live <= index.size:
+                out[index[~active]] = total[~active]
+                if n_live == 0:
+                    return out
+                index, w, power, total = index[active], w[active], power[active], total[active]
+                active = np.ones(n_live, dtype=bool)
         power = power * w
     raise NumericError(f"2F1 series with shift {shift!r} did not converge")
 
@@ -228,42 +244,43 @@ def _pair_product(p: LambdaMediumParams, nu: float | np.ndarray) -> complex | np
     return (nu + 1j * p.gamma21) * (nu + 1j * p.Gamma31)
 
 
-def _kernel_arguments(p: LambdaMediumParams, nu: np.ndarray, decay_c: float) -> tuple:
-    """Mask of finite 1/beta, beta, and the 2F1 arguments 1/beta and decay_c/beta there."""
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        beta = _pair_product(p, nu) / p.Omega**2
-        live = np.isfinite(1.0 / beta)
-    safe = np.where(live, beta, 1.0)
-    return live, beta, 1.0 / safe, decay_c / safe
-
-
 def alpha_closed(p: LambdaMediumParams, alpha0: float, nu: float | np.ndarray) -> EitResponse:
     """Closed-form layer absorption alpha0 * G(nu) at a scalar or an ndarray ``nu``.
 
-    Omega = 0 (or an Omega whose square is subnormal) is served through the
-    analytic control-off limit (both 2F1 factors -> 1).  An exact two-photon
-    resonance with no ground decoherence (w = 0) is transparent, and so is a
-    beta too small for 1/beta to be finite (the beta -> 0 limit, G -> 0).
-    A detuning whose 1/beta lands on the 2F1 branch cut raises
+    ``p.Omega`` may be an ndarray too; it is broadcast against ``nu``, and
+    the whole grid takes one :func:`hyp2f1_special` call for both of its 2F1
+    arguments.  An element is the same, bit for bit, as a call with that
+    Omega and that nu alone.  The response is made of Python scalars when
+    ``nu`` and ``p.Omega`` are both scalars, and of arrays of the broadcast
+    shape otherwise.
+
+    An Omega = 0 element (or one whose square is subnormal) is served
+    through the analytic control-off limit (both 2F1 factors -> 1).  An exact
+    two-photon resonance with no ground decoherence (w = 0) is transparent,
+    and so is a beta too small for 1/beta to be finite (the beta -> 0 limit,
+    G -> 0).  A detuning whose 1/beta lands on the 2F1 branch cut raises
     BranchCutError; with validated rates that happens only where
-    nu*(gamma21 + Gamma31) underflows.  A scalar ``nu`` gives a response of
-    Python scalars, an array one of arrays.
+    nu*(gamma21 + Gamma31) underflows.
     """
-    scalar = np.ndim(nu) == 0
+    scalar = np.ndim(nu) == 0 and np.ndim(p.Omega) == 0
+    # float_power rounds as Python's float ** does (the C library's pow);
+    # numpy's ** squares by one multiply, which rounds differently now and then.
+    om_sq = np.float_power(p.Omega, 2)
     nu = np.array(nu, dtype=float, ndmin=1)
+    nu, om_sq = np.broadcast_arrays(nu, om_sq)
     decay_s = math.exp(-2.0 * p.k1s * p.z0) if math.isfinite(p.z0) else 0.0
     decay_c = math.exp(-2.0 * p.k1c * p.z0) if math.isfinite(p.z0) else 0.0
 
-    if p.Omega**2 < np.finfo(float).tiny:
-        G = 1j * p.Gamma31 / (nu + 1j * p.Gamma31) * (1.0 - decay_s)
-        beta = np.full(nu.shape, complex(math.inf))
-    else:
-        live, beta, z1, z2 = _kernel_arguments(p, nu, decay_c)
-        b = p.k1s / p.k1c
-        G = np.zeros(nu.shape, dtype=complex)
-        G[live] = 1j * p.Gamma31 / (nu[live] + 1j * p.Gamma31) * (
-            hyp2f1_special(b, z1[live]) - decay_s * hyp2f1_special(b, z2[live])
-        )
+    off = om_sq < np.finfo(float).tiny
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        beta = _pair_product(p, nu) / om_sq
+        live = ~off & np.isfinite(1.0 / beta)
+    beta[off] = math.inf
+    z = np.concatenate([1.0 / beta[live], decay_c / beta[live]])
+    F1, F2 = np.split(hyp2f1_special(p.k1s / p.k1c, z), 2)
+    G = np.zeros(nu.shape, dtype=complex)
+    G[off] = 1j * p.Gamma31 / (nu[off] + 1j * p.Gamma31) * (1.0 - decay_s)
+    G[live] = 1j * p.Gamma31 / (nu[live] + 1j * p.Gamma31) * (F1 - decay_s * F2)
 
     alpha = alpha0 * G
     if scalar:
@@ -279,6 +296,8 @@ def alpha_quadrature(p: LambdaMediumParams, gsq_over_v0: float, nu: float) -> co
     and the package's only user of scipy, imported here so that the closed
     form and the CLI load numpy alone.
     """
+    if np.ndim(p.Omega) != 0:
+        raise ValueError("alpha_quadrature takes a scalar Omega")
     from scipy.integrate import IntegrationWarning, quad
 
     if p.n == 0.0 or gsq_over_v0 == 0.0:

@@ -1,18 +1,21 @@
 """Command-line front end: validation, determinism, round-trip, exit codes."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from polariton_lab import cli
 from polariton_lab.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, main
 from polariton_lab.config import load_config
 from polariton_lab.csvio import read_csv, round_trip_ok, write_csv
 from polariton_lab.dispersion import Polarization, sp_wavevector
-from polariton_lab.eit import alpha_quadrature
+from polariton_lab.eit import alpha_closed, alpha_quadrature
 from polariton_lab.errors import ConfigError
 from polariton_lab.materials import OMEGA_E_SILVER, dielectric, nimm
 
+ROOT = Path(__file__).resolve().parents[1]
 
 SMALL = """
 [band]
@@ -200,6 +203,37 @@ def test_eit_spectrum_matches_quadrature(tmp_path, small_config):
         gsq_v0 = alpha0 * p.k1s * p.Gamma31 / (math.pi * p.n * p.Ly)
         ref = alpha_quadrature(p, gsq_v0, nu_over * gamma31) * x
         assert complex(re_ax, im_ax) == pytest.approx(ref, rel=1e-6)
+
+
+@pytest.mark.parametrize(
+    "ini", sorted((ROOT / "scenarios").glob("*.ini")), ids=lambda path: path.name
+)
+def test_eit_spectrum_bytes_equal_per_omega_calls(tmp_path, ini):
+    # The grid call must write what one alpha_closed call per control
+    # amplitude writes, byte for byte.
+    out = tmp_path / "grid"
+    assert main(["eit-spectrum", "--config", str(ini), "--out", str(out)]) == EXIT_OK
+    cfg = load_config(ini)
+    eit = cfg["eit"]
+    alpha0, _ = cli._resolve_alpha0_v0(cfg)
+    gamma31 = eit["gamma31_linewidth"]
+    span = eit["nu_span_over_gamma31"] * gamma31
+    nus = np.linspace(-span, span, eit["n_nu"])
+    rows = []
+    for om in eit["omega"]:
+        resp = alpha_closed(cfg.lambda_params(om), alpha0, nus)
+        columns = [
+            nus / gamma31,
+            np.full(nus.shape, om / gamma31),
+            resp.alpha.real * eit["x"],
+            resp.alpha.imag * eit["x"],
+            resp.G.real,
+            resp.G.imag,
+        ]
+        rows += np.column_stack(columns).tolist()
+    header, _, _ = read_csv(out / "eit_spectrum.csv")
+    per_omega = write_csv(tmp_path / "per_omega.csv", header, rows, cli._footer(cfg))
+    assert (out / "eit_spectrum.csv").read_bytes() == per_omega.read_bytes()
 
 
 def test_eit_spectrum_zero_density(tmp_path):

@@ -262,6 +262,18 @@ def test_abyss_tracks_valley_of_loss_surface(ratio):
     assert abs(result.omega0 - grid[i]) <= 2 * (grid[1] - grid[0])
 
 
+@settings(max_examples=20, deadline=None)
+@given(log_ratio=st.floats(-3.5, -0.5))
+def test_tm_kappa_changes_sign_across_abyss(log_ratio):
+    # gamma_m/gamma_e from 3e-4 to 0.3: every abyss in this range cancels
+    m1, m2 = dielectric(), nimm(gamma_m=10.0**log_ratio * 2.73e13)
+    result = find_abyss(m1, m2, (0.3 * WE, 0.5 * WE))
+    assert result.is_cancellation
+    for step in (1e-9, 1e-6, 1e-4):
+        below, above = sp_wavevector(m1, m2, result.omega0 * np.array([1 - step, 1 + step])).kappa
+        assert below * above < 0, (step, below, above)
+
+
 def test_lossless_limit_continuity():
     m1 = dielectric()
     for x in (0.45, 0.47, 0.49):

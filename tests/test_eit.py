@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from polariton_lab import eit
 from polariton_lab.eit import (
+    EitResponse,
     LambdaMediumParams,
     alpha_closed,
     alpha_quadrature,
@@ -254,6 +255,70 @@ def test_branch_cut_element_raises(monkeypatch):
         with pytest.raises(BranchCutError):
             alpha_closed(p, 1e7, 0.0)
         alpha_closed(p, 1e7, 0.5 * GAMMA31)
+
+
+def _same_bits(a, b):
+    """Equal bit for bit: tells -0.0 from 0.0 and matches NaN payloads."""
+    a, b = (np.atleast_1d(np.asarray(v, dtype=complex)).view(float) for v in (a, b))
+    return np.array_equal(a, b)
+
+
+def _same_response(got, want):
+    return all(
+        _same_bits(getattr(got, f), getattr(want, f)) for f in ("nu", "alpha", "beta", "G")
+    )
+
+
+@pytest.mark.parametrize(
+    "layer",
+    [
+        {},
+        {"gamma21": 0.0},  # nu = 0 is the transparent point
+        {"k1c": 0.4e6, "z0": 3e-6},  # ring and large-|z| kernel
+        {"k1c": 0.4e6, "z0": 3e-6, "gamma21": 0.0},
+    ],
+)
+def test_omega_array_equals_scalar_omega_calls(layer):
+    omegas = np.array([0.0, 0.5, 1.0, 30.0]) * GAMMA31
+    nus = np.linspace(-6 * GAMMA31, 6 * GAMMA31, 49)
+    assert nus[24] == 0.0
+    grid = alpha_closed(params(Omega=omegas[:, None], **layer), 1e7, nus)
+    assert grid.alpha.shape == (4, 49)
+    column = alpha_closed(params(Omega=omegas, **layer), 1e7, 0.3 * GAMMA31)
+    assert column.alpha.shape == (4,)
+    for i, om in enumerate(omegas.tolist()):
+        p = params(Omega=om, **layer)
+        row = EitResponse(*(getattr(grid, f)[i] for f in ("nu", "alpha", "beta", "G")))
+        assert _same_response(row, alpha_closed(p, 1e7, nus))
+        one = EitResponse(*(getattr(column, f)[i] for f in ("nu", "alpha", "beta", "G")))
+        assert _same_response(one, alpha_closed(p, 1e7, 0.3 * GAMMA31))
+
+
+def test_beta_uses_python_square_of_omega():
+    # numpy's ** squares by one multiply, Python's float ** calls pow(); they
+    # round differently for about 1 in 1000 values, and the CLI's bytes were
+    # written with Python's.
+    omegas = np.random.default_rng(7).uniform(0.1, 30.0, 2000) * GAMMA31
+    squares = [om**2 for om in omegas.tolist()]
+    assert np.any(omegas * omegas != squares)
+    nu = 0.3 * GAMMA31
+    p = params(Omega=omegas)
+    resp = alpha_closed(p, 1e7, nu)
+    assert _same_bits(resp.beta, eit._pair_product(p, nu) / np.array(squares))
+
+
+def test_negative_omega_element_rejected():
+    with pytest.raises(ValueError, match="Omega"):
+        params(Omega=np.array([1e9, -1.0, 2e9]))
+    with pytest.raises(ValueError, match="Omega"):
+        params(Omega=-1.0)
+    params(Omega=np.array([0.0, 1e9]))
+
+
+def test_alpha_quadrature_rejects_array_omega():
+    p = params(Omega=np.array([0.5e9, 1e9]))
+    with pytest.raises(ValueError, match="alpha_quadrature takes a scalar Omega"):
+        alpha_quadrature(p, gsq_over_v0_for(params(), 1e7), 0.3 * GAMMA31)
 
 
 def _lambda_params(gamma31, g21_frac, omega_frac, k1s, k_ratio, z0):

@@ -111,3 +111,34 @@ def test_one_element_on_the_cut_rejects_the_array(on_cut):
     z = np.array([0.3 + 0.1j, -4.0, on_cut, 2.0 + 1e-9j])
     with pytest.raises(BranchCutError):
         hyp2f1_special(1.5, z)
+
+
+# Elements that need very different numbers of series terms, so the series
+# shrinks its working arrays at several points, in the disc's series
+# (shift b) and in the 1/z formula's (shift 1 - b).
+_MIXED_Z = st.one_of(
+    st.builds(_polar, st.floats(1e-300, 1e-3), _ANGLE),  # stops after a term or two
+    st.sampled_from([0.8, -0.8, 0.8j, -0.8j]),  # |z| = 0.8 exactly: the longest series
+    st.builds(_polar, st.floats(0.8, 1.25, exclude_min=True), _ANGLE),  # ring start points
+    st.builds(_polar, st.floats(1.25, 1.3, exclude_min=True), _ANGLE),  # |1/z| near 0.8
+    st.builds(lambda e, th: _polar(10.0**e, th), st.floats(0.2, 12.0), _ANGLE),
+).filter(lambda z: not (z.imag == 0.0 and z.real >= 1.0))
+_MIXED_B = st.one_of(
+    st.integers(1, 4).map(float),
+    st.builds(
+        lambda k, side, e: k + side * 10.0**e,
+        st.integers(1, 4),
+        st.sampled_from((-1.0, 1.0)),
+        st.floats(-12.0, -3.0),
+    ),
+    st.builds(complex, st.floats(0.05, 6.0), st.floats(-2.0, 2.0)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(b=_MIXED_B, zs=st.lists(_MIXED_Z, min_size=2, max_size=40))
+def test_mixed_array_equals_one_element_calls(b, zs):
+    got = hyp2f1_special(b, np.array(zs))
+    for value, z in zip(got, zs):
+        one = hyp2f1_special(b, np.array([z]))
+        assert np.array_equal(np.array([value]).view(float), one.view(float)), (b, z)

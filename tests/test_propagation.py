@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from polariton_lab.eit import LambdaMediumParams
 from polariton_lab.errors import NumericError
@@ -183,3 +185,26 @@ def test_transfer_function_floors_only_the_opaque_bins():
     h = transfer_function(s, nus)
     assert h[0] == h[2] == 0
     assert h[1] != 0 and h[1] == transfer_function(s, 0.0)
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    x=st.floats(0.0, 3e-3),
+    kappa31=st.floats(0.0, 300.0),
+    alpha0=st.floats(0.0, 3e7),
+    omega_frac=st.floats(0.5, 4.0),
+    gamma21=st.floats(0.0, 1e6),
+    z0=st.floats(1e-9, 2e-8),
+    delta_t=st.floats(50e-9, 200e-9),
+)
+def test_passive_layer_never_amplifies_the_peak(x, kappa31, alpha0, omega_frac, gamma21, z0,
+                                                delta_t):
+    # |H(nu)| <= 1 for a passive layer, so the output peak cannot exceed the
+    # unit input peak; the FFT reproduces that peak only to rounding.
+    layer = LambdaMediumParams(Omega=omega_frac * 1e9, gamma21=gamma21, z0=z0)
+    s = scenario(x=x, kappa31=kappa31, alpha0=alpha0, eit=layer, delta_t=delta_t)
+    try:
+        m = propagate_pulse(s)[2]
+    except NumericError:
+        reject()  # aliased: the delayed pulse left the time window
+    assert 0.0 < m.amp_ratio <= 1.0 + 1e-12
