@@ -4,8 +4,11 @@ Each subcommand loads one INI scenario, runs the corresponding sweep and
 writes deterministic CSV files.  Every sweep is a serial run of array passes
 in one process: one per frequency band in ``dispersion``, one per
 magnetic-decoherence ratio in ``lossmap``, one over the whole (control
-amplitude, detuning) grid in ``eit-spectrum`` and one per (distance,
-control) pulse in ``propagate``.
+amplitude, detuning) grid in ``eit-spectrum``, and in ``propagate`` one
+layer response per control amplitude, shared by the pulses at every
+distance.  Each table goes to :func:`~polariton_lab.csvio.write_csv` as the
+2-D array the sweep built, and the plots take their curves from its columns
+(as lists: the SVG writer walks them point by point).
 ``--jobs`` is accepted and ignored, so the output is byte-identical for any
 ``--jobs`` value.  ``--plot`` adds minimal SVG renderings drawn from the rows
 already computed.  Exit codes: 0 success, 2 configuration error, 3 numeric
@@ -37,7 +40,13 @@ from .dispersion import (
 from .eit import alpha_closed, alpha_resonant
 from .errors import ConfigError, NumericError
 from .materials import nimm, silver
-from .propagation import PropagationScenario, delay_slope, propagate_pulse
+from .propagation import (
+    PropagationScenario,
+    delay_slope,
+    frequency_grid,
+    layer_alpha,
+    propagate_pulse,
+)
 from .quantization import DIPOLE_EA0, coupling_constant, mode_normalization
 from .svgplot import line_plot
 
@@ -85,7 +94,7 @@ def cmd_dispersion(cfg: ScenarioConfig, out: Path, plot: bool) -> list[Path]:
     bound_tm = point.bound if pol is Polarization.TM else _bound(cfg, omegas, Polarization.TM)
     bound_te = point.bound if pol is Polarization.TE else _bound(cfg, omegas, Polarization.TE)
     columns = [omegas / cfg.omega_e, point.k_par, point.kappa, point.kappa / kappa0, v0]
-    rows = np.column_stack(columns + [bound_tm, bound_te]).tolist()
+    table = np.column_stack(columns + [bound_tm, bound_te])
     header = [
         "omega_over_we[1]",
         "k_par[1/m]",
@@ -95,12 +104,12 @@ def cmd_dispersion(cfg: ScenarioConfig, out: Path, plot: bool) -> list[Path]:
         "bound_TM[1]",
         "bound_TE[1]",
     ]
-    files = [write_csv(out / "dispersion.csv", header, rows, _footer(cfg))]
-    log("INFO", cmd="dispersion", points=len(rows), out=str(files[0]))
+    files = [write_csv(out / "dispersion.csv", header, table, _footer(cfg))]
+    log("INFO", cmd="dispersion", points=len(table), out=str(files[0]))
 
     if plot:
-        xs = [r[0] for r in rows]
-        ours = [abs(r[3]) for r in rows]
+        xs = table[:, 0].tolist()
+        ours = np.abs(table[:, 3]).tolist()
         ref = np.abs(sp_wavevector(cfg.medium1, silver(), omegas, Polarization.TM).kappa) / kappa0
         files.append(
             line_plot(
@@ -135,27 +144,27 @@ def cmd_lossmap(cfg: ScenarioConfig, out: Path, plot: bool) -> list[Path]:
         m2 = nimm(gamma_m=ratio * gamma_e, omega_m=omega_m)
         kappa = sp_wavevector(cfg.medium1, m2, omegas, Polarization.TM).kappa
         columns = [np.full(omegas.shape, ratio), omegas / cfg.omega_e, kappa / kappa0]
-        blocks.append(np.column_stack(columns).tolist())
+        blocks.append(np.column_stack(columns))
         try:
             abyss = find_abyss(cfg.medium1, m2, band_limits, Polarization.TM)
             track_rows.append([ratio, abyss.omega0 / cfg.omega_e, abyss.kappa_at_omega0 / kappa0])
         except AbyssNotFoundError:
             track_rows.append([ratio, math.nan, math.nan])
 
-    map_rows = [row for rows in blocks for row in rows]
+    map_table = np.concatenate(blocks)
     header_map = ["gamma_m_over_gamma_e[1]", "omega_over_we[1]", "kappa_over_kappa0[1]"]
     header_track = ["gamma_m_over_gamma_e[1]", "omega0_over_we[1]", "kappa0_min_over_kappa0[1]"]
     files = [
-        write_csv(out / "lossmap.csv", header_map, map_rows, _footer(cfg)),
+        write_csv(out / "lossmap.csv", header_map, map_table, _footer(cfg)),
         write_csv(out / "abyss_track.csv", header_track, track_rows, _footer(cfg)),
     ]
-    log("INFO", cmd="lossmap", gammas=len(ratios), points=len(map_rows))
+    log("INFO", cmd="lossmap", gammas=len(ratios), points=len(map_table))
 
     if plot:
         curves = [
             (
-                [r[1] for r in blocks[i]],
-                [abs(r[2]) for r in blocks[i]],
+                blocks[i][:, 1].tolist(),
+                np.abs(blocks[i][:, 2]).tolist(),
                 f"gamma_m/gamma_e={ratios[i]:.2g}",
             )
             for i in (0, len(ratios) // 2, len(ratios) - 1)
@@ -215,7 +224,7 @@ def cmd_eit_spectrum(cfg: ScenarioConfig, out: Path, plot: bool) -> list[Path]:
         resp.G.real,
         resp.G.imag,
     ]
-    rows = np.column_stack([c.ravel() for c in columns]).tolist()
+    table = np.column_stack([c.ravel() for c in columns])
     header = [
         "nu_over_Gamma31[1]",
         "Omega_over_Gamma31[1]",
@@ -224,15 +233,15 @@ def cmd_eit_spectrum(cfg: ScenarioConfig, out: Path, plot: bool) -> list[Path]:
         "Re_G[1]",
         "Im_G[1]",
     ]
-    files = [write_csv(out / "eit_spectrum.csv", header, rows, _footer(cfg))]
-    log("INFO", cmd="eit-spectrum", omegas=len(eit["omega"]), points=len(rows))
+    files = [write_csv(out / "eit_spectrum.csv", header, table, _footer(cfg))]
+    log("INFO", cmd="eit-spectrum", omegas=len(eit["omega"]), points=len(table))
 
     if plot:
-        n_nu = len(nus)
+        per_omega = table.reshape(omegas.size, nus.size, len(header))
         curves = [
             (
-                [r[0] for r in rows[i * n_nu:(i + 1) * n_nu]],
-                [r[2] for r in rows[i * n_nu:(i + 1) * n_nu]],
+                per_omega[i, :, 0].tolist(),
+                per_omega[i, :, 2].tolist(),
                 f"Omega/Gamma31={om / gamma31:.2g}",
             )
             for i, om in enumerate(eit["omega"])
@@ -262,6 +271,10 @@ def cmd_propagate(cfg: ScenarioConfig, out: Path, plot: bool) -> list[Path]:
     metrics_rows = []
     slope_rows = []
     curves = []  # the first control amplitude's envelope at each distance
+    # alpha does not depend on the distance: one kernel pass per control
+    # amplitude serves every distance.  (Not one pass over the whole grid as
+    # in eit-spectrum: here that changes the last bit of some alpha values.)
+    alphas = []
     for i_x, xi in enumerate(pulse["x"]):
         delays = []
         for i_om, om in enumerate(pulse["omega"]):
@@ -275,14 +288,16 @@ def cmd_propagate(cfg: ScenarioConfig, out: Path, plot: bool) -> list[Path]:
                 n_nu=pulse["n_nu"],
                 nu_span=pulse["nu_span_factor"] / delta_t,
             )
-            t, env, m = propagate_pulse(scenario)
-            profile = np.column_stack([t * gamma31, np.abs(env)]).tolist()
+            if i_x == 0:
+                alphas.append(layer_alpha(scenario.eit, alpha0, frequency_grid(scenario)[0]))
+            t, env, m = propagate_pulse(scenario, alphas[i_om])
+            profile = np.column_stack([t * gamma31, np.abs(env)])
             path = out / f"pulse_x{i_x}_om{i_om}.csv"
             files.append(write_csv(path, header_profile, profile, _footer(cfg)))
             metrics_rows.append([xi, om / gamma31, m.delay / delta_t, m.amp_ratio, m.vg, m.l_sp])
             delays.append(m.delay)
             if i_om == 0:
-                curves.append(([r[0] for r in profile], [r[1] for r in profile], f"x={xi:g} m"))
+                curves.append((profile[:, 0].tolist(), profile[:, 1].tolist(), f"x={xi:g} m"))
         slope = delay_slope(pulse["omega"], delays, xi, v0)
         slope_rows.append([xi, math.nan if slope is None else slope])
 

@@ -94,6 +94,24 @@ class LambdaMediumParams:
                 stacklevel=2,
             )
 
+    def _rates(self) -> tuple:
+        return (self.n, self.z0, self.gamma21, self.Gamma31, self.k1s, self.k1c, self.Ly)
+
+    def __eq__(self, other: object) -> bool:
+        """Field by field; an array ``Omega`` compares by :func:`numpy.array_equal`."""
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        if isinstance(self.Omega, np.ndarray) or isinstance(other.Omega, np.ndarray):
+            return self._rates() == other._rates() and np.array_equal(self.Omega, other.Omega)
+        return (self.Omega, *self._rates()) == (other.Omega, *other._rates())
+
+    def __hash__(self) -> int:
+        omega = self.Omega
+        if isinstance(omega, np.ndarray):  # hashed by contents, as equal arrays compare
+            omega = omega.item() if omega.ndim == 0 else (omega.shape, *omega.ravel().tolist())
+        n, z0, gamma21, gamma31, k1s, k1c, ly = self._rates()
+        return hash((n, z0, gamma21, gamma31, omega, k1s, k1c, ly))
+
 
 @dataclass(frozen=True)
 class EitResponse:

@@ -82,15 +82,34 @@ class PulseMetrics:
     centroid_delay: float
 
 
-def transfer_function(s: PropagationScenario, nu: float | np.ndarray) -> complex | np.ndarray:
+def frequency_grid(s: PropagationScenario) -> tuple[np.ndarray, float]:
+    """The centered detuning grid of a run and its spacing."""
+    n = s.n_nu
+    dnu = s.span / n
+    return (np.arange(n) - n // 2) * dnu, dnu
+
+
+def layer_alpha(
+    p: LambdaMediumParams, alpha0: float, nu: float | np.ndarray
+) -> complex | np.ndarray:
+    """The layer's alpha(nu) from :func:`alpha_closed`, or 0.0 for an empty layer."""
+    if p.n == 0.0 or alpha0 == 0.0:
+        return 0.0
+    return alpha_closed(p, alpha0, nu).alpha
+
+
+def transfer_function(
+    s: PropagationScenario, nu: float | np.ndarray, alpha: complex | np.ndarray | None = None
+) -> complex | np.ndarray:
     """Spectral factor exp{[i*nu/v0 - alpha(nu) - kappa31] * x} at a scalar or an ndarray ``nu``.
 
-    Where the exponent's real part is below -700 the factor is 0.
+    ``alpha`` is the layer's alpha at ``nu`` when the caller has it already
+    (see :func:`layer_alpha`).  Where the exponent's real part is below -700
+    the factor is 0.
     """
     nu = np.asarray(nu, dtype=float)
-    alpha = 0.0
-    if s.eit.n != 0.0 and s.alpha0 != 0.0:
-        alpha = alpha_closed(s.eit, s.alpha0, nu).alpha
+    if alpha is None:
+        alpha = layer_alpha(s.eit, s.alpha0, nu)
     exponent = (1j * (nu / s.v0) - alpha - s.kappa31) * s.x
     h = np.where(exponent.real < _EXP_FLOOR, 0j, np.exp(exponent))
     return complex(h) if h.ndim == 0 else h
@@ -116,20 +135,21 @@ def _parabolic_peak(t: np.ndarray, mag: np.ndarray) -> tuple[float, float]:
 
 
 def propagate_pulse(
-    s: PropagationScenario,
+    s: PropagationScenario, alpha: complex | np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, PulseMetrics]:
     """Propagate the Gaussian probe a distance ``s.x``.
 
-    Returns the time grid, the complex output envelope, and the extracted
+    ``alpha`` is the layer's alpha on :func:`frequency_grid` when the caller
+    has it already; alpha does not depend on the distance.  Returns the time
+    grid, the complex output envelope, and the extracted
     :class:`PulseMetrics`.  Raises :class:`NumericError` when the envelope
     has not decayed at the time-grid edges (aliased output).
     """
     n = s.n_nu
-    dnu = s.span / n
-    nu = (np.arange(n) - n // 2) * dnu
+    nu, dnu = frequency_grid(s)
     spectrum = s.delta_t / math.sqrt(2.0 * math.pi) * np.exp(-0.5 * (nu * s.delta_t) ** 2)
 
-    env = _centered_inverse_transform(spectrum * transfer_function(s, nu), dnu)
+    env = _centered_inverse_transform(spectrum * transfer_function(s, nu, alpha), dnu)
 
     T = 2.0 * math.pi / dnu
     t = (np.arange(n) - n // 2) * (T / n)

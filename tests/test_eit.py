@@ -321,6 +321,27 @@ def test_alpha_quadrature_rejects_array_omega():
         alpha_quadrature(p, gsq_over_v0_for(params(), 1e7), 0.3 * GAMMA31)
 
 
+def test_array_omega_equality_and_hash_follow_contents():
+    a = params(Omega=np.array([1e9, 2e9]))
+    same = params(Omega=np.array([1e9, 2e9]))
+    assert a == same and hash(a) == hash(same)
+    assert a != params(Omega=np.array([1e9, 3e9]))
+    assert a != params(Omega=np.array([[1e9, 2e9]]))
+    assert a != params(Omega=1e9) and params(Omega=1e9) != a
+    assert a != params(Omega=np.array([1e9, 2e9]), z0=2e-8)
+    assert len({a, same, params(Omega=np.array([1e9, 3e9]))}) == 2
+    zero_d = params(Omega=np.array(1e9))
+    assert zero_d == params(Omega=1e9) and hash(zero_d) == hash(params(Omega=1e9))
+
+
+def test_scalar_omega_equality_and_hash_as_a_dataclass():
+    p = params()
+    fields = (p.n, p.z0, p.gamma21, p.Gamma31, p.Omega, p.k1s, p.k1c, p.Ly)
+    assert p == params() and hash(p) == hash(fields)
+    assert p != params(Omega=2e9) and p != params(k1c=2e6)
+    assert p.__eq__(object()) is NotImplemented
+
+
 def _lambda_params(gamma31, g21_frac, omega_frac, k1s, k_ratio, z0):
     return LambdaMediumParams(
         n=1e24, z0=z0, gamma21=g21_frac * gamma31, Gamma31=gamma31,

@@ -13,18 +13,26 @@ import polariton_lab
 from polariton_lab import dispersion, eit, quantization
 
 
-def test_cli_import_loads_no_scipy():
+def _loaded_by_cli_import(roots):
     code = (
         "import sys, polariton_lab.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        f"print(sorted(m for m in sys.modules if m.split('.')[0] in {roots!r}))"
     )
     # a fresh interpreter that finds this checkout's package first
     path = [str(Path(polariton_lab.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
-    loaded = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
     ).stdout.strip()
-    assert loaded == "[]"
+
+
+def test_cli_import_loads_no_scipy():
+    assert _loaded_by_cli_import(("scipy",)) == "[]"
+
+
+def test_cli_import_loads_no_fractions_or_decimal():
+    # the CSV writer's power-of-ten tables come from int arithmetic alone
+    assert _loaded_by_cli_import(("fractions", "decimal")) == "[]"
 
 
 def test_constants_equal_scipy_codata():

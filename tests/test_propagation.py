@@ -13,6 +13,8 @@ from polariton_lab.propagation import (
     PropagationScenario,
     delay_slope,
     delay_vs_control,
+    frequency_grid,
+    layer_alpha,
     propagate_pulse,
     transfer_function,
 )
@@ -208,3 +210,15 @@ def test_passive_layer_never_amplifies_the_peak(x, kappa31, alpha0, omega_frac, 
     except NumericError:
         reject()  # aliased: the delayed pulse left the time window
     assert 0.0 < m.amp_ratio <= 1.0 + 1e-12
+
+
+def test_precomputed_alpha_gives_the_same_pulse():
+    # what the CLI does: one layer response per control amplitude, for every distance
+    for x in (1e-3, 3e-3):
+        s = PropagationScenario(delta_t=DT, x=x, v0=V0, kappa31=100.0, alpha0=1e7, n_nu=1024)
+        alpha = layer_alpha(s.eit, s.alpha0, frequency_grid(s)[0])
+        t, env, m = propagate_pulse(s)
+        t2, env2, m2 = propagate_pulse(s, alpha)
+        assert np.array_equal(t, t2) and m == m2
+        assert np.array_equal(env.view(float), env2.view(float))
+    assert layer_alpha(LambdaMediumParams(n=0.0), 1e7, np.zeros(3)) == 0.0
