@@ -32,23 +32,18 @@ m2 = nimm()
 
 print("== loss across the band (TM) ==")
 xs = np.linspace(0.3, 0.5, 801)
-rows = []
-for x in xs:
-    nim = sp_wavevector(m1, m2, x * WE)
-    met = sp_wavevector(m1, silver(), x * WE)
-    rows.append([x, nim.k_par, nim.kappa, abs(nim.kappa) / KAPPA0, abs(met.kappa) / KAPPA0])
+nim = sp_wavevector(m1, m2, xs * WE)
+loss_nim = np.abs(nim.kappa) / KAPPA0
+loss_met = np.abs(sp_wavevector(m1, silver(), xs * WE).kappa) / KAPPA0
 write_csv(
     OUT / "dispersion.csv",
     ["omega_over_we[1]", "k_par[1/m]", "kappa[1/m]", "abs_kappa_nimm_over_kappa0[1]",
      "abs_kappa_silver_over_kappa0[1]"],
-    rows,
+    np.column_stack([xs, nim.k_par, nim.kappa, loss_nim, loss_met]),
 )
 line_plot(
     OUT / "loss_comparison.svg",
-    [
-        ([r[0] for r in rows], [r[3] for r in rows], "dielectric/NIMM"),
-        ([r[0] for r in rows], [r[4] for r in rows], "dielectric/silver"),
-    ],
+    [(xs, loss_nim, "dielectric/NIMM"), (xs, loss_met, "dielectric/silver")],
     xlabel="omega/omega_e",
     ylabel="|kappa|/kappa0",
     title="surface-mode loss: the abyss vs the metal baseline",

@@ -45,7 +45,7 @@ write_csv(
 for ratio in (1e-4, 3.66e-3, 0.1):
     m2 = nimm(gamma_m=ratio * GAMMA_E_SILVER)
     ys = np.abs(sp_wavevector(m1, m2, xs * WE).kappa) / KAPPA0
-    curves.append((list(xs), ys, f"gamma_m/gamma_e = {ratio:.2g}"))
+    curves.append((xs, ys, f"gamma_m/gamma_e = {ratio:.2g}"))
 line_plot(
     OUT / "loss_landscape_cuts.svg",
     curves,

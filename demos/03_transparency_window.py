@@ -63,8 +63,8 @@ rows = np.column_stack([
     np.repeat(scales, nus.size),
     re_ax.ravel(),
     (window.alpha.imag * X).ravel(),
-]).tolist()
-curves = [(list(nus / GAMMA31), list(re_ax[i]), f"Omega = {scale:g} Gamma31")
+])
+curves = [(nus / GAMMA31, re_ax[i], f"Omega = {scale:g} Gamma31")
           for i, scale in enumerate(scales)]
 floor = alpha_closed(LambdaMediumParams(Omega=scales * GAMMA31), ALPHA0, 0.0).alpha.real
 for scale, f in zip(scales, floor):

@@ -35,18 +35,18 @@ def scenario(x, omega_rabi=GAMMA31):
 
 print("== reference distances at Omega = Gamma31 ==")
 curves = []
-profile_rows = []
+profiles = []
 for x in (1e-3, 3e-3):
     t, env, m = propagate_pulse(scenario(x))
     keep = slice(None, None, 4)
-    curves.append((list(t[keep] * GAMMA31), list(np.abs(env)[keep]), f"x = {x * 1e3:g} mm"))
-    for tv, av in zip(t[keep], np.abs(env)[keep]):
-        profile_rows.append([x, tv * GAMMA31, av])
+    t_gamma, amp = t[keep] * GAMMA31, np.abs(env)[keep]
+    curves.append((t_gamma, amp, f"x = {x * 1e3:g} mm"))
+    profiles.append(np.column_stack([np.full(amp.size, x), t_gamma, amp]))
     print(f"x = {x * 1e3:g} mm: delay = {m.delay / DT:.2f} dt, amplitude = {m.amp_ratio:.3f}, "
           f"vg = {m.vg:.0f} m/s, l_sp = {m.l_sp * 1e3:.2f} mm, width ratio = {m.width_ratio:.3f}")
 
 t_in = np.linspace(-4 * DT, 10 * DT, 600)
-curves.insert(0, (list(t_in * GAMMA31), list(np.exp(-0.5 * (t_in / DT) ** 2)), "input"))
+curves.insert(0, (t_in * GAMMA31, np.exp(-0.5 * (t_in / DT) ** 2), "input"))
 line_plot(
     OUT / "slow_pulse.svg",
     curves,
@@ -54,7 +54,11 @@ line_plot(
     ylabel="|envelope|",
     title="probe pulse crawling through the control layer",
 )
-write_csv(OUT / "pulse_profiles.csv", ["x[m]", "t_Gamma31[1]", "abs_envelope[1]"], profile_rows)
+write_csv(
+    OUT / "pulse_profiles.csv",
+    ["x[m]", "t_Gamma31[1]", "abs_envelope[1]"],
+    np.concatenate(profiles),
+)
 
 print("== delay scaling with the control amplitude ==")
 sweep = delay_vs_control(scenario(1e-3), [0.5e9, 1e9, 2e9, 4e9])

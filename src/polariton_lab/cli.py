@@ -7,8 +7,7 @@ magnetic-decoherence ratio in ``lossmap``, one over the whole (control
 amplitude, detuning) grid in ``eit-spectrum``, and in ``propagate`` one
 layer response per control amplitude, shared by the pulses at every
 distance.  Each table goes to :func:`~polariton_lab.csvio.write_csv` as the
-2-D array the sweep built, and the plots take their curves from its columns
-(as lists: the SVG writer walks them point by point).
+2-D array the sweep built, and the plots take their curves from its columns.
 ``--jobs`` is accepted and ignored, so the output is byte-identical for any
 ``--jobs`` value.  ``--plot`` adds minimal SVG renderings drawn from the rows
 already computed.  Exit codes: 0 success, 2 configuration error, 3 numeric
@@ -108,8 +107,8 @@ def cmd_dispersion(cfg: ScenarioConfig, out: Path, plot: bool) -> list[Path]:
     log("INFO", cmd="dispersion", points=len(table), out=str(files[0]))
 
     if plot:
-        xs = table[:, 0].tolist()
-        ours = np.abs(table[:, 3]).tolist()
+        xs = table[:, 0]
+        ours = np.abs(table[:, 3])
         ref = np.abs(sp_wavevector(cfg.medium1, silver(), omegas, Polarization.TM).kappa) / kappa0
         files.append(
             line_plot(
@@ -162,11 +161,7 @@ def cmd_lossmap(cfg: ScenarioConfig, out: Path, plot: bool) -> list[Path]:
 
     if plot:
         curves = [
-            (
-                blocks[i][:, 1].tolist(),
-                np.abs(blocks[i][:, 2]).tolist(),
-                f"gamma_m/gamma_e={ratios[i]:.2g}",
-            )
+            (blocks[i][:, 1], np.abs(blocks[i][:, 2]), f"gamma_m/gamma_e={ratios[i]:.2g}")
             for i in (0, len(ratios) // 2, len(ratios) - 1)
         ]
         files.append(
@@ -239,11 +234,7 @@ def cmd_eit_spectrum(cfg: ScenarioConfig, out: Path, plot: bool) -> list[Path]:
     if plot:
         per_omega = table.reshape(omegas.size, nus.size, len(header))
         curves = [
-            (
-                per_omega[i, :, 0].tolist(),
-                per_omega[i, :, 2].tolist(),
-                f"Omega/Gamma31={om / gamma31:.2g}",
-            )
+            (per_omega[i, :, 0], per_omega[i, :, 2], f"Omega/Gamma31={om / gamma31:.2g}")
             for i, om in enumerate(eit["omega"])
         ]
         files.append(
@@ -272,8 +263,9 @@ def cmd_propagate(cfg: ScenarioConfig, out: Path, plot: bool) -> list[Path]:
     slope_rows = []
     curves = []  # the first control amplitude's envelope at each distance
     # alpha does not depend on the distance: one kernel pass per control
-    # amplitude serves every distance.  (Not one pass over the whole grid as
-    # in eit-spectrum: here that changes the last bit of some alpha values.)
+    # amplitude serves every distance.  (One pass over the whole grid, as in
+    # eit-spectrum, gives the same bits but holds every amplitude's kernel
+    # arrays at once, for no measured gain in speed.)
     alphas = []
     for i_x, xi in enumerate(pulse["x"]):
         delays = []
@@ -297,7 +289,7 @@ def cmd_propagate(cfg: ScenarioConfig, out: Path, plot: bool) -> list[Path]:
             metrics_rows.append([xi, om / gamma31, m.delay / delta_t, m.amp_ratio, m.vg, m.l_sp])
             delays.append(m.delay)
             if i_om == 0:
-                curves.append((profile[:, 0].tolist(), profile[:, 1].tolist(), f"x={xi:g} m"))
+                curves.append((profile[:, 0], profile[:, 1], f"x={xi:g} m"))
         slope = delay_slope(pulse["omega"], delays, xi, v0)
         slope_rows.append([xi, math.nan if slope is None else slope])
 
@@ -318,7 +310,7 @@ def cmd_propagate(cfg: ScenarioConfig, out: Path, plot: bool) -> list[Path]:
 
     if plot:
         t_axis = curves[0][0]
-        input_env = [math.exp(-0.5 * (tv / (delta_t * gamma31)) ** 2) for tv in t_axis]
+        input_env = np.exp(-0.5 * np.float_power(t_axis / (delta_t * gamma31), 2))
         files.append(
             line_plot(
                 out / "fig_pulses.svg",

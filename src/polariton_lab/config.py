@@ -207,6 +207,8 @@ def _validate(values: dict[str, dict[str, Any]]) -> None:
     for om in eit["omega"]:
         if om < 0:
             raise ConfigError("eit.omega: control amplitudes must be non-negative")
+    if eit["alpha0_from_mode"] and band["polarization"] == "TE":
+        raise ConfigError("eit.alpha0_from_mode: the mode normalization is TM-only")
 
     pulse = values["pulse"]
     if not pulse["delta_t"] > 0:
@@ -217,6 +219,11 @@ def _validate(values: dict[str, dict[str, Any]]) -> None:
         raise ConfigError("pulse.kappa31: must be non-negative")
     if pulse["v0"] < 0:
         raise ConfigError("pulse.v0: must be non-negative (0 derives it)")
+    n_nu = pulse["n_nu"]
+    if n_nu < 1024 or n_nu & (n_nu - 1):
+        raise ConfigError("pulse.n_nu: must be a power of two >= 1024")
+    if not pulse["nu_span_factor"] >= 10.0:
+        raise ConfigError("pulse.nu_span_factor: must be >= 10 to cover the pulse spectrum")
     for x in pulse["x"]:
         if not x > 0:
             raise ConfigError("pulse.x: distances must be positive")

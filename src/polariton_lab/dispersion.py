@@ -203,27 +203,31 @@ def group_velocity(
 
 
 def loss_cancellation_residual(
-    m1: HalfSpaceMaterial, m2: HalfSpaceMaterial, omega: float
+    m1: HalfSpaceMaterial,
+    m2: HalfSpaceMaterial,
+    omega: float,
+    pol: Polarization = Polarization.TM,
 ) -> float:
-    """Mismatch of the electric/magnetic loss-interference condition.
+    """Mismatch of the electric/magnetic loss-interference condition of ``pol``.
 
-    The minimum of |kappa| is a genuine cancellation point when the loss
-    ratio Im(mu2)/Im(eps2) equals
+    With (a, b) = (eps, mu) for TM and (mu, eps) for TE, a lossless medium 1
+    and a2 = a' + i*a'', b2 = b' + i*b'', the minimum of |kappa| is a genuine
+    cancellation point when, to first order in the losses,
 
-        (Re(mu2)*(Re(eps2)**2 + eps1**2) - 2*Re(eps2)*eps1)
-        / (Re(eps2)*(Re(eps2)**2 - eps1**2)).
+        b''*a'*(a'**2 - a1**2) = a''*(b'*(a'**2 + a1**2) - 2*a1*a'*b1).
 
     Returned as a symmetric cross-multiplied relative mismatch in [0, 1]:
     ~0 at a cancellation point, ~1 when one side vanishes (e.g. a metal with
-    lossless unit permeability, for which the condition has no solution).
+    lossless unit permeability, for which the TM condition has no solution).
     """
     r1 = eval_material(m1, omega)
     r2 = eval_material(m2, omega)
-    e1 = r1.epsilon.real
-    er, ei = r2.epsilon.real, r2.epsilon.imag
-    mr, mi = r2.mu.real, r2.mu.imag
-    lhs = mi * er * (er * er - e1 * e1)
-    rhs = ei * (mr * (er * er + e1 * e1) - 2.0 * er * e1)
+    a1, a2, b1, b2 = _by_polarization(pol, r1.epsilon, r1.mu, r2.epsilon, r2.mu)
+    a1, b1 = a1.real, b1.real
+    ar, ai = a2.real, a2.imag
+    br, bi = b2.real, b2.imag
+    lhs = bi * ar * (ar * ar - a1 * a1)
+    rhs = ai * (br * (ar * ar + a1 * a1) - 2.0 * ar * a1 * b1)
     scale = abs(lhs) + abs(rhs)
     if scale == 0.0:
         return 0.0
@@ -278,7 +282,7 @@ def find_abyss(
             omega0 = float(grid[i] - kappa0 * (grid[j] - grid[i]) / (kappa[j] - kappa0))
             kappa0 = sp_wavevector(m1, m2, omega0, pol).kappa
             break
-    residual = loss_cancellation_residual(m1, m2, omega0)
+    residual = loss_cancellation_residual(m1, m2, omega0, pol)
     return AbyssResult(omega0=omega0, kappa_at_omega0=kappa0, residual=residual)
 
 

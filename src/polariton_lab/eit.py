@@ -135,7 +135,11 @@ def hyp2f1_special(b: complex, z: complex | np.ndarray) -> complex | np.ndarray:
       ``z`` by a fixed Gauss-Legendre rule (:func:`_ring`).
 
     Every region is one array pass, so an element's value does not depend on
-    the other elements.  An element on the cut raises
+    the other elements or on the size of the call.  (A complex product whose
+    right operand is a fresh temporary is written with both operands named:
+    numpy reuses a temporary of 256 KiB or more in place, so ``a * f(x)``
+    runs as ``f(x) * a``, and the complex multiply does not always round
+    ``a*b`` as ``b*a``.)  An element on the cut raises
     :class:`BranchCutError` for the whole call.
     """
     b = complex(b)
@@ -156,7 +160,7 @@ def hyp2f1_special(b: complex, z: complex | np.ndarray) -> complex | np.ndarray:
     F[~outer] = _power_series(w[~outer], b)
     F[outer] = _connection(b, z[outer])
     F[ring] = _ring(b, z[ring], F[ring])
-    F = b * F  # not in place: numpy multiplies a one-element array in place with other rounding
+    F = b * F  # not in place: F *= b would round as F * b
     return complex(F[0]) if shape == () else F.reshape(shape)
 
 
@@ -222,7 +226,8 @@ def _connection(b: complex, z: np.ndarray) -> np.ndarray:
         tail = -L * np.where(small, 1.0 + x / 2, np.expm1(x) / np.where(small, 1.0, x))
         pair = np.exp(x) * _csc_minus_pole(eps) + tail
     w = 1.0 / z
-    return w**m * pair + w * _power_series(w, 1.0 - b, skip=m - 1)
+    series = _power_series(w, 1.0 - b, skip=m - 1)  # named: see hyp2f1_special
+    return w**m * pair + w * series
 
 
 def _ring(b: complex, z: np.ndarray, phi0: np.ndarray) -> np.ndarray:
@@ -248,14 +253,12 @@ def _ring(b: complex, z: np.ndarray, phi0: np.ndarray) -> np.ndarray:
     nodes = _SERIES_RADIUS + half[:, None] * (_RING_NODES + 1.0)
     pole = 1.0 / zh
     near = np.abs(np.angle(z)) < math.pi / 4
-    c = np.where(near, np.exp(b * np.log(pole / r)) / pole, 0.0)
+    log_pole = np.log(pole / r)  # named operands: see hyp2f1_special
+    c = np.where(near, np.exp(b * log_pole) / pole, 0.0)
     g = np.exp(b * np.log(nodes / r[:, None])) / nodes
     rest = half * np.sum(_RING_WEIGHTS * (g - c[:, None]) / (1.0 - nodes * zh[:, None]), axis=1)
-    return (
-        np.exp(b * np.log(_SERIES_RADIUS / r)) * phi0
-        + rest
-        - c * (np.log(1.0 - z) - np.log(1.0 - start)) / zh
-    )
+    log_step = np.log(1.0 - z) - np.log(1.0 - start)
+    return np.exp(b * np.log(_SERIES_RADIUS / r)) * phi0 + rest - c * log_step / zh
 
 
 def _pair_product(p: LambdaMediumParams, nu: float | np.ndarray) -> complex | np.ndarray:

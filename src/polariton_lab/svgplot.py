@@ -7,20 +7,18 @@ formatting so identical data produces identical bytes.
 
 from __future__ import annotations
 
-import math
 from pathlib import Path
 from typing import Sequence
 
+import numpy as np
+
 _COLORS = ("#c0392b", "#2457a8", "#20803c", "#8e44ad", "#b8860b", "#16808c")
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 64.0, 16.0, 28.0, 44.0
+_WIDTH, _HEIGHT = 720, 480
 
 
 def _fmt(v: float) -> str:
     return format(v, ".6g")
-
-
-def _finite(values: Sequence[float]) -> list[float]:
-    return [v for v in values if math.isfinite(v)]
 
 
 def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
@@ -37,36 +35,31 @@ def line_plot(
     ylabel: str,
     title: str = "",
     logy: bool = False,
-    width: int = 720,
-    height: int = 480,
 ) -> Path:
     """Write polyline curves with axes and tick labels to ``path``.
 
-    Each curve is (x values, y values, label).  With ``logy`` the y axis is
-    log10 and non-positive samples are dropped from the display.
+    Each curve is (x values, y values, label), the values as sequences or
+    arrays of equal length (:class:`ValueError` otherwise).  Non-finite
+    samples are dropped from the display; with ``logy`` the y axis is log10
+    and non-positive samples are dropped too.
     """
-    xs_all: list[float] = []
-    ys_all: list[float] = []
-    display: list[tuple[list[float], list[float], str]] = []
+    display = []
     for cx, cy, label in curves:
-        px, py = [], []
-        for x, y in zip(cx, cy):
-            if not (math.isfinite(x) and math.isfinite(y)):
-                continue
-            if logy:
-                if y <= 0:
-                    continue
-                y = math.log10(y)
-            px.append(float(x))
-            py.append(float(y))
-        display.append((px, py, label))
-        xs_all.extend(px)
-        ys_all.extend(py)
+        x, y = np.asarray(cx, dtype=float), np.asarray(cy, dtype=float)
+        if x.shape != y.shape:
+            raise ValueError(f"curve {label!r}: {x.size} x values but {y.size} y values")
+        keep = np.isfinite(x) & np.isfinite(y)
+        if logy:
+            keep &= y > 0
+        x, y = x[keep], y[keep]
+        display.append((x, np.log10(y) if logy else y, label))
 
-    if not xs_all:
+    if not any(x.size for x, _, _ in display):
         raise ValueError("nothing to plot: no finite samples")
-    x_lo, x_hi = min(xs_all), max(xs_all)
-    y_lo, y_hi = min(ys_all), max(ys_all)
+    xs_all = np.concatenate([x for x, _, _ in display])
+    ys_all = np.concatenate([y for _, y, _ in display])
+    x_lo, x_hi = float(xs_all.min()), float(xs_all.max())
+    y_lo, y_hi = float(ys_all.min()), float(ys_all.max())
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
     if y_hi == y_lo:
@@ -75,25 +68,25 @@ def line_plot(
     y_lo -= pad
     y_hi += pad
 
-    plot_w = width - _MARGIN_L - _MARGIN_R
-    plot_h = height - _MARGIN_T - _MARGIN_B
+    plot_w = _WIDTH - _MARGIN_L - _MARGIN_R
+    plot_h = _HEIGHT - _MARGIN_T - _MARGIN_B
 
-    def sx(x: float) -> float:
+    def sx(x):
         return _MARGIN_L + (x - x_lo) / (x_hi - x_lo) * plot_w
 
-    def sy(y: float) -> float:
+    def sy(y):
         return _MARGIN_T + (y_hi - y) / (y_hi - y_lo) * plot_h
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
+        f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
+        f'<rect x="0" y="0" width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
         f'<rect x="{_fmt(_MARGIN_L)}" y="{_fmt(_MARGIN_T)}" width="{_fmt(plot_w)}" '
         f'height="{_fmt(plot_h)}" fill="none" stroke="black" stroke-width="1"/>',
     ]
     if title:
         parts.append(
-            f'<text x="{_fmt(width / 2)}" y="18" text-anchor="middle" '
+            f'<text x="{_fmt(_WIDTH / 2)}" y="18" text-anchor="middle" '
             f'font-family="sans-serif" font-size="13">{title}</text>'
         )
 
@@ -119,7 +112,7 @@ def line_plot(
             f'font-family="sans-serif" font-size="11">{label}</text>'
         )
     parts.append(
-        f'<text x="{_fmt(_MARGIN_L + plot_w / 2)}" y="{_fmt(height - 8)}" '
+        f'<text x="{_fmt(_MARGIN_L + plot_w / 2)}" y="{_fmt(_HEIGHT - 8)}" '
         f'text-anchor="middle" font-family="sans-serif" font-size="12">{xlabel}</text>'
     )
     parts.append(
@@ -128,10 +121,11 @@ def line_plot(
         f'transform="rotate(-90 14 {_fmt(_MARGIN_T + plot_h / 2)})">{ylabel}</text>'
     )
 
-    for i, (px, py, label) in enumerate(display):
+    for i, (x, y, label) in enumerate(display):
         color = _COLORS[i % len(_COLORS)]
-        if px:
-            coords = " ".join(f"{_fmt(sx(x))},{_fmt(sy(y))}" for x, y in zip(px, py))
+        if x.size:
+            xy = np.column_stack([sx(x), sy(y)]).ravel().tolist()
+            coords = " ".join(["%.6g,%.6g"] * x.size) % tuple(xy)
             parts.append(
                 f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="1.5"/>'
             )

@@ -89,12 +89,32 @@ def test_cli_exit_codes(tmp_path, small_config):
 
 
 def test_numeric_failure_exit_code(tmp_path):
-    # under-resolved pulse spectrum passes config validation but is rejected
-    # when the propagation grid is built
+    # a carrier where the interface binds no TM mode passes config validation,
+    # but the derived v0 then has no mode to come from
     bad = tmp_path / "n.ini"
-    bad.write_text("[pulse]\nn_nu = 1024\nx = 1e-3\nomega = 1e9\nnu_span_factor = 5\n")
+    bad.write_text("[pulse]\nn_nu = 1024\nx = 1e-3\nomega = 1e9\nomega31_over_we = 0.2\n")
     assert main(["propagate", "--config", str(bad),
                  "--out", str(tmp_path / "o")]) == EXIT_NUMERIC
+
+
+@pytest.mark.parametrize(
+    "text, path",
+    [
+        ("[pulse]\nn_nu = 1000\n", "pulse.n_nu"),
+        ("[pulse]\nn_nu = 512\n", "pulse.n_nu"),
+        ("[pulse]\nnu_span_factor = 5\n", "pulse.nu_span_factor"),
+        ("[eit]\nalpha0_from_mode = true\n[band]\npolarization = TE\n", "eit.alpha0_from_mode"),
+    ],
+)
+def test_run_time_failures_rejected_at_load(tmp_path, text, path, capsys):
+    # each of these used to load and then fail inside the subcommand (exit 3)
+    bad = tmp_path / "bad.ini"
+    bad.write_text(text)
+    with pytest.raises(ConfigError, match=path):
+        load_config(bad)
+    for cmd in ("eit-spectrum", "propagate"):
+        assert main([cmd, "--config", str(bad), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert f"kind=config detail={path}:" in capsys.readouterr().err
 
 
 def test_io_failure_exit_code(tmp_path, small_config):

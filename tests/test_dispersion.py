@@ -24,6 +24,7 @@ from polariton_lab.materials import (
     DrudeParams,
     HalfSpaceMaterial,
     dielectric,
+    eval_material,
     nimm,
     silver,
 )
@@ -332,3 +333,44 @@ def test_array_wavevector_equals_scalar_calls(eps1, m2, pol, xs):
         for got, want in pairs:
             assert abs(got - want) <= 1e-12 * abs(want)
         assert bool(band.bound[i]) == dp.bound
+
+
+def _tm_residual_unit_mu1(m1, m2, omega):
+    """The TM residual with mu1 = 1 hard-wired, as it was before it took ``pol``."""
+    r1, r2 = eval_material(m1, omega), eval_material(m2, omega)
+    e1 = r1.epsilon.real
+    er, ei = r2.epsilon.real, r2.epsilon.imag
+    mr, mi = r2.mu.real, r2.mu.imag
+    lhs = mi * er * (er * er - e1 * e1)
+    rhs = ei * (mr * (er * er + e1 * e1) - 2.0 * er * e1)
+    scale = abs(lhs) + abs(rhs)
+    return 0.0 if scale == 0.0 else abs(lhs - rhs) / scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(eps1=st.floats(1.0, 4.0), m2=_MEDIUM2, x=st.floats(0.02, 1.5))
+def test_tm_residual_with_unit_mu1_is_unchanged(eps1, m2, x):
+    m1 = dielectric(eps1)
+    got = loss_cancellation_residual(m1, m2, x * WE, Polarization.TM)
+    assert got.hex() == _tm_residual_unit_mu1(m1, m2, x * WE).hex()
+
+
+@settings(max_examples=60, deadline=None)
+@given(eps1=st.floats(1.0, 4.0), mu1=st.floats(1.0, 3.0), m2=_MEDIUM2, x=st.floats(0.02, 1.5))
+def test_te_residual_of_dual_materials_equals_tm_residual(eps1, mu1, m2, x):
+    m1 = HalfSpaceMaterial(eps1, mu1, "medium1")
+    te = loss_cancellation_residual(swap_eps_mu(m1), swap_eps_mu(m2), x * WE, Polarization.TE)
+    assert te == loss_cancellation_residual(m1, m2, x * WE, Polarization.TM)
+
+
+def test_find_abyss_reports_the_residual_of_its_polarization():
+    band = (0.3 * WE, 0.5 * WE)
+    tm = find_abyss(dielectric(), nimm(), band)
+    te = find_abyss(swap_eps_mu(dielectric()), swap_eps_mu(nimm()), band, Polarization.TE)
+    assert te == tm
+    assert tm.residual == pytest.approx(0.00197, abs=1e-5)
+    # mu1 = 2: kappa changes sign at the minimum, a genuine cancellation
+    heavy = find_abyss(HalfSpaceMaterial(1.3, 2.0, "medium1"), nimm(), band)
+    assert heavy.kappa_at_omega0 == 0.0
+    assert heavy.residual == pytest.approx(0.0028, abs=1e-4)
+    assert heavy.is_cancellation

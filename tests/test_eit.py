@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,8 +17,11 @@ from polariton_lab.eit import (
     alpha_quadrature,
     alpha_resonant,
 )
+from polariton_lab.config import load_config
 from polariton_lab.errors import BranchCutError
+from polariton_lab.propagation import PropagationScenario, frequency_grid
 
+ROOT = Path(__file__).resolve().parents[1]
 GAMMA31 = 1e9
 
 
@@ -292,6 +296,26 @@ def test_omega_array_equals_scalar_omega_calls(layer):
         assert _same_response(row, alpha_closed(p, 1e7, nus))
         one = EitResponse(*(getattr(column, f)[i] for f in ("nu", "alpha", "beta", "G")))
         assert _same_response(one, alpha_closed(p, 1e7, 0.3 * GAMMA31))
+
+
+def test_pulse_grid_call_equals_per_omega_calls():
+    # control_sweep.ini's 4 x 4096 pulse grid: the grid's kernel arrays pass
+    # numpy's 256 KiB threshold for reusing a temporary in place, one
+    # amplitude's do not
+    cfg = load_config(ROOT / "scenarios" / "control_sweep.ini")
+    pulse = cfg["pulse"]
+    omegas = np.array(pulse["omega"])
+    nu = frequency_grid(
+        PropagationScenario(
+            delta_t=pulse["delta_t"], x=1e-3, v0=1.0, kappa31=0.0, alpha0=1e7,
+            n_nu=pulse["n_nu"], nu_span=pulse["nu_span_factor"] / pulse["delta_t"],
+        )
+    )[0]
+    assert omegas.size * nu.size == 4 * 4096
+    grid = alpha_closed(cfg.lambda_params(omegas[:, None]), 1e7, nu).alpha
+    for i, om in enumerate(pulse["omega"]):
+        row = alpha_closed(cfg.lambda_params(om), 1e7, nu).alpha
+        assert np.array_equal(grid[i].view(float), row.view(float)), om
 
 
 def test_beta_uses_python_square_of_omega():

@@ -142,3 +142,20 @@ def test_mixed_array_equals_one_element_calls(b, zs):
     for value, z in zip(got, zs):
         one = hyp2f1_special(b, np.array([z]))
         assert np.array_equal(np.array([value]).view(float), one.view(float)), (b, z)
+
+
+@pytest.mark.parametrize("b", [1.0, 1.5, 2 + 0.3j, 0.3, 0.4 - 0.7j, 3.0000001])
+@pytest.mark.parametrize("r_lo, r_hi", [(0.8, 1.25), (1.25, 1e6)], ids=["ring", "large"])
+def test_call_size_does_not_change_values(b, r_lo, r_hi):
+    # 20 000 complex elements pass numpy's 256 KiB threshold for reusing a
+    # temporary in place, 2000 do not; the values must not notice
+    rng = np.random.default_rng(11)
+    r = np.exp(rng.uniform(math.log(r_lo), math.log(r_hi), 20_000))
+    z = r * np.exp(1j * rng.uniform(-math.pi, math.pi, r.size))
+    z = z[~((z.imag == 0.0) & (z.real >= 1.0))]
+    whole = hyp2f1_special(b, z)
+    chunks = np.concatenate([hyp2f1_special(b, z[i:i + 2000]) for i in range(0, z.size, 2000)])
+    assert np.array_equal(whole.view(float), chunks.view(float))
+    for i in (0, 4321, z.size - 1):
+        one = hyp2f1_special(b, z[i:i + 1])
+        assert np.array_equal(whole[i:i + 1].view(float), one.view(float))
