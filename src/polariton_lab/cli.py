@@ -2,8 +2,9 @@
 
 Each subcommand loads one INI scenario, runs the corresponding sweep and
 writes deterministic CSV files.  Every sweep is a serial run of array passes
-in one process: one per frequency band in ``dispersion``, one per
-magnetic-decoherence ratio in ``lossmap``, one over the whole (control
+in one process: one per frequency band in ``dispersion``, one over the
+whole (magnetic-decoherence ratio, frequency) grid in ``lossmap`` plus one
+batched abyss search over all its ratios, one over the whole (control
 amplitude, detuning) grid in ``eit-spectrum``, and in ``propagate`` one
 layer response per control amplitude, shared by the pulses at every
 distance.  Each table goes to :func:`~polariton_lab.csvio.write_csv` as the
@@ -30,7 +31,6 @@ from . import __version__
 from .config import ScenarioConfig, load_config
 from .csvio import round_trip_ok, write_csv
 from .dispersion import (
-    AbyssNotFoundError,
     Polarization,
     find_abyss,
     group_velocity,
@@ -128,38 +128,34 @@ def cmd_dispersion(cfg: ScenarioConfig, out: Path, plot: bool) -> list[Path]:
 def cmd_lossmap(cfg: ScenarioConfig, out: Path, plot: bool) -> list[Path]:
     kappa0 = cfg["band"]["kappa0"]
     lm = cfg["lossmap"]
-    gamma_e = cfg["materials"]["gamma_e"]
-    omega_m = cfg["materials"]["omega_m"]
     omegas = _band(cfg)
     if lm["n_gamma"] == 1:
         ratios = np.array([lm["gamma_ratio_min"]])
     else:
         ratios = np.geomspace(lm["gamma_ratio_min"], lm["gamma_ratio_max"], lm["n_gamma"])
-    band_limits = (float(omegas[0]), float(omegas[-1]))
+    # One medium per ratio, as the rows of one batch.
+    m2 = nimm(gamma_m=ratios[:, None] * cfg["materials"]["gamma_e"],
+              omega_m=cfg["materials"]["omega_m"])
+    pol = cfg.polarization
+    kappa = sp_wavevector(cfg.medium1, m2, omegas, pol).kappa
+    abyss = find_abyss(cfg.medium1, m2, (float(omegas[0]), float(omegas[-1])), pol)
 
-    blocks = []
-    track_rows = []
-    for ratio in ratios.tolist():
-        m2 = nimm(gamma_m=ratio * gamma_e, omega_m=omega_m)
-        kappa = sp_wavevector(cfg.medium1, m2, omegas, Polarization.TM).kappa
-        columns = [np.full(omegas.shape, ratio), omegas / cfg.omega_e, kappa / kappa0]
-        blocks.append(np.column_stack(columns))
-        try:
-            abyss = find_abyss(cfg.medium1, m2, band_limits, Polarization.TM)
-            track_rows.append([ratio, abyss.omega0 / cfg.omega_e, abyss.kappa_at_omega0 / kappa0])
-        except AbyssNotFoundError:
-            track_rows.append([ratio, math.nan, math.nan])
-
-    map_table = np.concatenate(blocks)
+    map_table = np.column_stack([
+        np.repeat(ratios, omegas.size),
+        np.tile(omegas / cfg.omega_e, ratios.size),
+        (kappa / kappa0).ravel(),
+    ])
+    track = np.column_stack([ratios, abyss.omega0 / cfg.omega_e, abyss.kappa_at_omega0 / kappa0])
     header_map = ["gamma_m_over_gamma_e[1]", "omega_over_we[1]", "kappa_over_kappa0[1]"]
     header_track = ["gamma_m_over_gamma_e[1]", "omega0_over_we[1]", "kappa0_min_over_kappa0[1]"]
     files = [
         write_csv(out / "lossmap.csv", header_map, map_table, _footer(cfg)),
-        write_csv(out / "abyss_track.csv", header_track, track_rows, _footer(cfg)),
+        write_csv(out / "abyss_track.csv", header_track, track, _footer(cfg)),
     ]
     log("INFO", cmd="lossmap", gammas=len(ratios), points=len(map_table))
 
     if plot:
+        blocks = map_table.reshape(ratios.size, omegas.size, len(header_map))
         curves = [
             (blocks[i][:, 1], np.abs(blocks[i][:, 2]), f"gamma_m/gamma_e={ratios[i]:.2g}")
             for i in (0, len(ratios) // 2, len(ratios) - 1)

@@ -26,13 +26,13 @@ Loss-minimum searches therefore operate on |kappa|.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
 
 from .errors import AbyssNotFoundError, NumericError
-from .materials import HalfSpaceMaterial, d_omega_material, eval_material
+from .materials import DrudeParams, HalfSpaceMaterial, d_omega_material, eval_material
 
 C = 299792458.0  # speed of light in vacuum, m/s (exact)
 
@@ -67,14 +67,18 @@ class DispersionPoint:
 
 @dataclass(frozen=True)
 class AbyssResult:
-    """Location and depth of the loss minimum plus the cancellation residual."""
+    """Location and depth of the loss minimum plus the cancellation residual.
 
-    omega0: float
-    kappa_at_omega0: float
-    residual: float
+    Floats for one pair of media; for a batch, arrays with one element per
+    row, NaN in the rows that have no interior minimum.
+    """
+
+    omega0: float | np.ndarray
+    kappa_at_omega0: float | np.ndarray
+    residual: float | np.ndarray
 
     @property
-    def is_cancellation(self) -> bool:
+    def is_cancellation(self) -> bool | np.ndarray:
         return self.residual <= 0.05
 
 
@@ -91,8 +95,11 @@ def _frequencies(omega) -> np.ndarray:
 
 
 def _shaped(x: np.ndarray, omega):
-    """``x`` in the shape of ``omega``: a Python scalar for a scalar ``omega``."""
-    return x.item() if np.ndim(omega) == 0 else x.reshape(np.shape(omega))
+    """``x`` as a Python scalar for a scalar ``omega`` and scalar media, else as is.
+
+    ``x`` already has the shape ``omega`` broadcasts to against the media.
+    """
+    return x.item() if np.ndim(omega) == 0 and x.shape == (1,) else x
 
 
 def _by_polarization(pol: Polarization, e1, u1, e2, u2) -> tuple:
@@ -113,27 +120,15 @@ def _interface(m1: HalfSpaceMaterial, m2: HalfSpaceMaterial, w: np.ndarray, pol:
         raise NumericError(
             f"degenerate interface for {pol.value}: |a2^2 - a1^2| = "
             f"{np.extract(degenerate, np.abs(denom))[0]:.3e} "
-            f"at omega = {np.extract(degenerate, w)[0]:.6e}"
+            f"at omega = {np.extract(degenerate, np.broadcast_to(w, degenerate.shape))[0]:.6e}"
         )
     return (a1, a2, b1, b2), denom, a1 * a2 * (a2 * b1 - a1 * b2) / denom
 
 
-def sp_wavevector(
-    m1: HalfSpaceMaterial,
-    m2: HalfSpaceMaterial,
-    omega,
-    pol: Polarization = Polarization.TM,
-) -> DispersionPoint:
-    """Solve the interface dispersion at one frequency or an array of them.
-
-    Returns a :class:`DispersionPoint` whose fields are Python scalars for a
-    scalar ``omega`` and arrays of its shape otherwise; an unbound solution is
-    flagged ``bound=False`` rather than raising.  A degenerate denominator
-    (a2**2 == a1**2 for the active polarization) at any requested frequency
-    raises :class:`NumericError`.
-    """
-    w = _frequencies(omega)
-    (a1, a2, b1, b2), _, radicand = _interface(m1, m2, w, pol)
+def _solve(m1: HalfSpaceMaterial, m2: HalfSpaceMaterial, w: np.ndarray, pol: Polarization):
+    """The :func:`_interface` triple, k and the :class:`DispersionPoint` arrays at ``w``."""
+    interface = _interface(m1, m2, w, pol)
+    (a1, a2, b1, b2), _, radicand = interface
     w_c = w / C
     k = w_c * _principal_sqrt(radicand)
 
@@ -147,6 +142,27 @@ def sp_wavevector(
 
     fields = dict(omega=w, k_par=k.real, kappa=k.imag, k1=k1, k2=k2, bound=bound,
                   bc_residual=residual)
+    return interface, k, fields
+
+
+def sp_wavevector(
+    m1: HalfSpaceMaterial,
+    m2: HalfSpaceMaterial,
+    omega,
+    pol: Polarization = Polarization.TM,
+) -> DispersionPoint:
+    """Solve the interface dispersion at one frequency or an array of them.
+
+    Returns a :class:`DispersionPoint` whose fields are Python scalars for a
+    scalar ``omega`` and arrays of its shape otherwise; an unbound solution is
+    flagged ``bound=False`` rather than raising.  A batch of media (``(n, 1)``
+    loss rates, see :class:`~polariton_lab.materials.DrudeParams`) gives
+    mode fields of the broadcast shape, ``(n, m)`` for ``m`` frequencies, row
+    ``i`` bit-equal to a call with the medium of row ``i``.  A degenerate
+    denominator (a2**2 == a1**2 for the active polarization) at any requested
+    point raises :class:`NumericError`.
+    """
+    _, _, fields = _solve(m1, m2, _frequencies(omega), pol)
     return DispersionPoint(polarization=pol, **{n: _shaped(v, omega) for n, v in fields.items()})
 
 
@@ -185,11 +201,10 @@ def group_velocity(
     ``omega`` gives a float, an array gives an array; :class:`ValueError` is
     raised when any requested point is unbound.
     """
-    point = sp_wavevector(m1, m2, omega, pol)
-    if not np.all(point.bound):
-        raise ValueError(f"no bound {pol.value} mode at omega = {omega!r}")
     w = _frequencies(omega)
-    (a1, a2, b1, b2), denom, radicand = _interface(m1, m2, w, pol)
+    ((a1, a2, b1, b2), denom, radicand), k, fields = _solve(m1, m2, w, pol)
+    if not np.all(fields["bound"]):
+        raise ValueError(f"no bound {pol.value} mode at omega = {omega!r}")
     da1, da2, db1, db2 = _by_polarization(pol, *d_omega_material(m1, w), *d_omega_material(m2, w))
     # R = N / denom with N = a1*a2**2*b1 - a1**2*a2*b2.
     d_radicand = (
@@ -198,7 +213,7 @@ def group_velocity(
         + a1 * a2 * a2 * db1
         - a1 * a1 * a2 * db2
     ) / denom
-    dk_domega = w * d_radicand / (2.0 * C * C * np.reshape(point.k_parallel, w.shape))
+    dk_domega = w * d_radicand / (2.0 * C * C * k)
     return _shaped(1.0 / dk_domega.real, omega)
 
 
@@ -219,6 +234,8 @@ def loss_cancellation_residual(
     Returned as a symmetric cross-multiplied relative mismatch in [0, 1]:
     ~0 at a cancellation point, ~1 when one side vanishes (e.g. a metal with
     lossless unit permeability, for which the TM condition has no solution).
+    A scalar ``omega`` with scalar media gives a float; an array ``omega``
+    or a batch of media gives an array of their broadcast shape.
     """
     r1 = eval_material(m1, omega)
     r2 = eval_material(m2, omega)
@@ -228,10 +245,9 @@ def loss_cancellation_residual(
     br, bi = b2.real, b2.imag
     lhs = bi * ar * (ar * ar - a1 * a1)
     rhs = ai * (br * (ar * ar + a1 * a1) - 2.0 * ar * a1 * b1)
-    scale = abs(lhs) + abs(rhs)
-    if scale == 0.0:
-        return 0.0
-    return abs(lhs - rhs) / scale
+    scale = abs(lhs) + abs(rhs)  # zero only where lhs = rhs = 0, a mismatch of 0
+    mismatch = abs(lhs - rhs) / np.where(scale == 0.0, 1.0, scale)
+    return float(mismatch) if np.ndim(mismatch) == 0 else mismatch
 
 
 def find_abyss(
@@ -253,37 +269,101 @@ def find_abyss(
     loss-interference residual at the minimizer is a diagnostic;
     ``is_cancellation`` is False when it exceeds 0.05 (a minimum exists but
     losses do not cancel there).
+
+    A batch of media (``(n, 1)`` loss rates, see
+    :class:`~polariton_lab.materials.DrudeParams`) is searched row by row in
+    lockstep: the coarse scan is one ``(n, n_grid)`` solve, each refinement
+    step one solve over the rows still wider than 1e-9 (a row that is narrow
+    enough stops, so it takes exactly the steps it takes alone), and the root
+    step one solve over the rows where kappa changes sign.  The result holds
+    arrays, each row bit-equal to a search with the medium of that row, and
+    NaN in the rows with no interior minimum; nothing is raised for them.
     """
     lo, hi = search_band
     if not (0 < lo < hi):
         raise ValueError(f"invalid search band {search_band!r}")
     if n_grid < 3:
         raise ValueError(f"n_grid must be at least 3 to bracket a minimum, got {n_grid!r}")
+    batch = _batch_rows(m1, m2)
 
     grid = np.linspace(lo, hi, n_grid)
-    kappa = sp_wavevector(m1, m2, grid, pol).kappa
-    i = int(np.argmin(np.abs(kappa)))
-    if i == 0 or i == n_grid - 1:
+    kappa = sp_wavevector(m1, m2, grid, pol).kappa.reshape(-1, n_grid)
+    i = np.argmin(np.abs(kappa), axis=1)
+    found = np.flatnonzero((i > 0) & (i < n_grid - 1))
+    if batch is None and not found.size:
         raise AbyssNotFoundError(
             f"no interior |kappa| minimum in [{lo:.6e}, {hi:.6e}] "
-            f"(edge value {abs(kappa[i]):.6e} 1/m)"
+            f"(edge value {abs(kappa[0, i[0]]):.6e} 1/m)"
         )
 
-    omega0, kappa0 = float(grid[i]), float(kappa[i])
-    a, c = grid[i - 1], grid[i + 1]
-    while c - a > _ABYSS_XTOL * omega0:
-        grid = np.linspace(a, c, _ZOOM_POINTS)
-        kappa = sp_wavevector(m1, m2, grid, pol).kappa
-        i = int(np.argmin(np.abs(kappa)))
-        omega0, kappa0 = float(grid[i]), float(kappa[i])
-        a, c = grid[max(i - 1, 0)], grid[min(i + 1, _ZOOM_POINTS - 1)]
-    for j in (i - 1, i + 1):  # a sign change of kappa: step to its root
-        if 0 <= j < len(grid) and kappa[j] * kappa0 < 0:
-            omega0 = float(grid[i] - kappa0 * (grid[j] - grid[i]) / (kappa[j] - kappa0))
-            kappa0 = sp_wavevector(m1, m2, omega0, pol).kappa
+    # Row r of win_w, win_k: the minimum of found row r's latest scan
+    # (column 1) between its two neighbours, NaN past an end of the scan.
+    win_w, win_k = _window(np.broadcast_to(grid, kappa.shape)[found], kappa[found], i[found])
+    narrowing = np.arange(found.size)
+    while True:
+        # The bracket: the neighbours, or the minimum itself past an end (the
+        # scans ascend, and fmin and fmax pass over NaN).
+        a, c = np.fmin(win_w[:, 0], win_w[:, 1]), np.fmax(win_w[:, 1], win_w[:, 2])
+        narrowing = narrowing[c[narrowing] - a[narrowing] > _ABYSS_XTOL * win_w[narrowing, 1]]
+        if not narrowing.size:
             break
-    residual = loss_cancellation_residual(m1, m2, omega0, pol)
-    return AbyssResult(omega0=omega0, kappa_at_omega0=kappa0, residual=residual)
+        zoom = np.linspace(a[narrowing], c[narrowing], _ZOOM_POINTS, axis=-1)
+        rows = found[narrowing]
+        k = sp_wavevector(_take(m1, rows), _take(m2, rows), zoom, pol).kappa
+        win_w[narrowing], win_k[narrowing] = _window(zoom, k, np.argmin(np.abs(k), axis=1))
+
+    omega0, kappa0 = win_w[:, 1], win_k[:, 1]
+    # A sign change of kappa next to the minimum: step to its root.
+    left = win_k[:, 0] * kappa0 < 0
+    crossing = np.flatnonzero(left | (win_k[:, 2] * kappa0 < 0))
+    if crossing.size:
+        side = np.where(left[crossing], 0, 2)
+        w_i, k_i = omega0[crossing], kappa0[crossing]
+        w_j, k_j = win_w[crossing, side], win_k[crossing, side]
+        omega0[crossing] = w_i - k_i * (w_j - w_i) / (k_j - k_i)
+        rows = found[crossing]
+        root = sp_wavevector(_take(m1, rows), _take(m2, rows), omega0[crossing, None], pol)
+        kappa0[crossing] = root.kappa[:, 0]
+    media = _take(m1, found), _take(m2, found)
+    residual = loss_cancellation_residual(*media, omega0[:, None], pol)[:, 0]
+    if batch is None:
+        return AbyssResult(float(omega0[0]), float(kappa0[0]), float(residual[0]))
+    table = np.full((3, batch), np.nan)
+    table[:, found] = omega0, kappa0, residual
+    return AbyssResult(*table)
+
+
+def _batch_rows(*media: HalfSpaceMaterial) -> int | None:
+    """Row count of a batch of media, or None when every parameter is a scalar."""
+    shapes = {
+        np.shape(model.loss_rate)
+        for m in media
+        for model in (m.epsilon_model, m.mu_model)
+        if isinstance(model, DrudeParams) and np.ndim(model.loss_rate)
+    }
+    if len(shapes) > 1 or any(len(s) != 2 or s[1] != 1 for s in shapes):
+        raise ValueError(f"a batch of media needs loss rates of one shape (n, 1), got {shapes}")
+    return shapes.pop()[0] if shapes else None
+
+
+def _take(m: HalfSpaceMaterial, rows: np.ndarray) -> HalfSpaceMaterial:
+    """Rows ``rows`` of a batch of media; scalar media as they are."""
+
+    def cut(model):
+        if isinstance(model, DrudeParams) and np.ndim(model.loss_rate):
+            return replace(model, loss_rate=model.loss_rate[rows])
+        return model
+
+    return replace(m, epsilon_model=cut(m.epsilon_model), mu_model=cut(m.mu_model))
+
+
+def _window(w: np.ndarray, k: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Columns j - 1, j and j + 1 of each row of the scan (w, k); NaN past an end."""
+    cols = j[:, None] + np.arange(-1, 2)
+    inside = (cols >= 0) & (cols < w.shape[1])
+    cols = np.clip(cols, 0, w.shape[1] - 1)
+    w, k = (np.where(inside, np.take_along_axis(x, cols, axis=1), np.nan) for x in (w, k))
+    return w, k
 
 
 def swap_eps_mu(m: HalfSpaceMaterial) -> HalfSpaceMaterial:

@@ -8,7 +8,9 @@ real frequency-independent constant or a Drude pole
 with plasma frequency ``wf`` and loss rate ``gf`` in rad/s.  All frequencies
 are angular.  The derivative d(w*s)/dw needed by the mode normalization and
 the group velocity is available in closed form.  Every evaluation accepts a
-scalar or an ndarray of frequencies and returns values of the same shape.
+scalar or an ndarray of frequencies and returns values of the same shape, or
+of the shape the frequencies broadcast to with an ndarray loss rate (a batch
+of materials, one per row).
 """
 
 from __future__ import annotations
@@ -27,15 +29,23 @@ EPSILON_DIELECTRIC = 1.3
 
 @dataclass(frozen=True)
 class DrudeParams:
-    """Plasma frequency and loss rate of one Drude pole (rad/s)."""
+    """Plasma frequency and loss rate of one Drude pole (rad/s).
+
+    ``loss_rate`` may be an ndarray that broadcasts against the frequencies,
+    with a leading row axis: shape ``(n, 1)`` makes the pole a batch of ``n``
+    poles, and an evaluation at ``m`` frequencies gives ``(n, m)`` values, row
+    ``i`` bit-equal to the pole with the scalar rate ``loss_rate[i, 0]``.
+    Every element must be non-negative.  Only a scalar pole supports ``==``
+    and hashing.
+    """
 
     plasma_frequency: float
-    loss_rate: float = 0.0
+    loss_rate: float | np.ndarray = 0.0
 
     def __post_init__(self) -> None:
         if not self.plasma_frequency > 0:
             raise ValueError("plasma_frequency must be positive")
-        if self.loss_rate < 0:
+        if np.any(np.asarray(self.loss_rate) < 0):
             raise ValueError("loss_rate must be non-negative")
 
 
@@ -46,8 +56,8 @@ Response = Union[float, DrudeParams]
 class HalfSpaceMaterial:
     """Electric and magnetic response models of one half-space.
 
-    A ``float`` model is a real dispersionless constant; a :class:`DrudeParams`
-    model is the lossy Drude form above.
+    A ``float`` model is a real dispersionless constant, which must be
+    positive; a :class:`DrudeParams` model is the lossy Drude form above.
     """
 
     epsilon_model: Response
@@ -55,8 +65,8 @@ class HalfSpaceMaterial:
     label: str = ""
 
     def __post_init__(self) -> None:
-        if isinstance(self.epsilon_model, (int, float)) and self.epsilon_model < 1.0:
-            raise ValueError("constant permittivity must be >= 1")
+        if isinstance(self.epsilon_model, (int, float)) and not self.epsilon_model > 0:
+            raise ValueError("constant permittivity must be positive")
         if isinstance(self.mu_model, (int, float)) and not self.mu_model > 0:
             raise ValueError("constant permeability must be positive")
 
@@ -113,11 +123,14 @@ def silver() -> HalfSpaceMaterial:
     )
 
 
-def nimm(gamma_m: float = 1e11, omega_m: float = 0.5 * OMEGA_E_SILVER) -> HalfSpaceMaterial:
+def nimm(
+    gamma_m: float | np.ndarray = 1e11, omega_m: float = 0.5 * OMEGA_E_SILVER
+) -> HalfSpaceMaterial:
     """Negative-index half-space: silver-like electric pole plus a magnetic pole.
 
     The magnetic plasma frequency defaults to half the electric one and the
-    magnetic loss rate is a free knob.
+    magnetic loss rate is a free knob; an ``(n, 1)`` array of rates gives a
+    batch of ``n`` media (see :class:`DrudeParams`).
     """
     return HalfSpaceMaterial(
         epsilon_model=DrudeParams(OMEGA_E_SILVER, GAMMA_E_SILVER),

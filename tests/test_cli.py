@@ -6,7 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from polariton_lab import cli
+from _abyss_oracle import lossmap_tables
+
+from polariton_lab import __version__, cli
 from polariton_lab.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, main
 from polariton_lab.config import load_config
 from polariton_lab.csvio import read_csv, round_trip_ok, write_csv
@@ -306,3 +308,46 @@ def test_plot_files_written(tmp_path, small_config):
                  "--plot", "--jobs", "1"]) == EXIT_OK
     svg = (out / "fig_losses.svg").read_text()
     assert svg.startswith("<svg") and "polyline" in svg
+
+
+_ONE_RATIO = "[lossmap]\nn_gamma = 1\ngamma_ratio_min = 3e-3\n\n[band]\nn_points = 200\n"
+_TE_LOSSMAP = "[band]\npolarization = TE\nn_points = 64\n\n[lossmap]\nn_gamma = 5\n"
+
+
+@pytest.mark.parametrize(
+    "ini",
+    [ROOT / "scenarios" / name for name in ("reference.ini", "silver.ini", "control_sweep.ini")]
+    + [_ONE_RATIO, _TE_LOSSMAP],
+)
+def test_lossmap_bytes_equal_per_ratio_oracle(tmp_path, ini):
+    if isinstance(ini, str):
+        (tmp_path / "lossmap.ini").write_text(ini)
+        ini = tmp_path / "lossmap.ini"
+    out = tmp_path / "out"
+    assert main(["lossmap", "--config", str(ini), "--out", str(out)]) == EXIT_OK
+    cfg = load_config(ini)
+    map_rows, track_rows = lossmap_tables(cfg)
+    footer = {"config_hash": cfg.config_hash, "tool_version": __version__}
+    want = tmp_path / "want"
+    want.mkdir()
+    write_csv(want / "lossmap.csv", ["gamma_m_over_gamma_e[1]", "omega_over_we[1]",
+                                     "kappa_over_kappa0[1]"], map_rows, footer)
+    write_csv(want / "abyss_track.csv", ["gamma_m_over_gamma_e[1]", "omega0_over_we[1]",
+                                         "kappa0_min_over_kappa0[1]"], track_rows, footer)
+    for name in ("lossmap.csv", "abyss_track.csv"):
+        assert (out / name).read_bytes() == (want / name).read_bytes(), name
+
+
+def test_lossmap_honours_te_polarization(tmp_path):
+    (tmp_path / "te.ini").write_text(_TE_LOSSMAP)
+    out = tmp_path / "out"
+    assert main(["lossmap", "--config", str(tmp_path / "te.ini"), "--out", str(out)]) == EXIT_OK
+    _, rows, _ = read_csv(out / "lossmap.csv")
+    blocks = np.array(rows).reshape(5, 64, 3)
+    omegas = cli._band(load_config(tmp_path / "te.ini"))
+    for block in blocks:
+        m2 = nimm(gamma_m=block[0, 0] * 2.73e13)
+        te = sp_wavevector(dielectric(), m2, omegas, Polarization.TE).kappa
+        tm = sp_wavevector(dielectric(), m2, omegas, Polarization.TM).kappa
+        assert block[:, 2].tobytes() == (te / 1e4).tobytes()
+        assert not np.any(te == tm)  # not the TM map

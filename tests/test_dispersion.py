@@ -5,7 +5,8 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from _abyss_oracle import find_abyss_per_row
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from polariton_lab.dispersion import (
@@ -23,6 +24,7 @@ from polariton_lab.materials import (
     OMEGA_E_SILVER,
     DrudeParams,
     HalfSpaceMaterial,
+    d_omega_material,
     dielectric,
     eval_material,
     nimm,
@@ -374,3 +376,130 @@ def test_find_abyss_reports_the_residual_of_its_polarization():
     assert heavy.kappa_at_omega0 == 0.0
     assert heavy.residual == pytest.approx(0.0028, abs=1e-4)
     assert heavy.is_cancellation
+
+
+def _bits(x) -> bytes:
+    return np.float64(x).tobytes()
+
+
+def _check_batch_against_oracle(m1, ratios, omega_m, band, pol, n_grid):
+    """The batched search over ``ratios`` against the per-row oracle; the step counts."""
+    rows = [nimm(gamma_m=r * 2.73e13, omega_m=omega_m) for r in ratios]
+    expected, steps = [], []
+    for m2 in rows:
+        try:
+            result, n_steps = find_abyss_per_row(m1, m2, band, pol, n_grid)
+        except AbyssNotFoundError:
+            result, n_steps = None, None
+        expected.append(result)
+        steps.append(n_steps)
+    batch = nimm(gamma_m=np.array(ratios)[:, None] * 2.73e13, omega_m=omega_m)
+    got = find_abyss(m1, batch, band, pol, n_grid)
+    for r, want in enumerate(expected):
+        fields = (got.omega0[r], got.kappa_at_omega0[r], got.residual[r])
+        if want is None:  # NaN exactly where the oracle raises
+            assert all(math.isnan(f) for f in fields), (r, fields)
+            continue
+        assert _bits(fields[0]) == _bits(want.omega0)
+        assert _bits(fields[1]) == _bits(want.kappa_at_omega0)
+        assert _bits(fields[2]) == _bits(want.residual)
+        # the one-row view is the scalar call
+        one = find_abyss(m1, rows[r], band, pol, n_grid)
+        assert [_bits(v) for v in (one.omega0, one.kappa_at_omega0, one.residual)] == [
+            _bits(f) for f in fields
+        ]
+        # the scalar residual formula agrees to rounding
+        scalar = loss_cancellation_residual(m1, rows[r], want.omega0, pol)
+        assert abs(fields[2] - scalar) <= 1e-9 * max(scalar, 1e-3)
+    return steps
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    log_ratios=st.lists(st.floats(-6.0, 0.5), min_size=1, max_size=6),
+    omega_m=st.floats(0.4, 0.6),
+    below=st.floats(-0.05, 0.4),
+    above=st.floats(0.01, 0.4),
+    pol=st.sampled_from(Polarization),
+    n_grid=st.one_of(st.just(3), st.integers(3, 96)),
+)
+def test_batched_find_abyss_equals_per_row_search(log_ratios, omega_m, below, above, pol, n_grid):
+    # The band is drawn around where the minima lie for small losses, about
+    # 0.82 omega_m for TM and omega_m for TE; below < 0 starts it past them.
+    ratios = [10.0**x for x in log_ratios]
+    centre = (0.82 if pol is Polarization.TM else 1.0) * omega_m * WE
+    band = (centre * (1.0 - below), centre * (1.0 + above))
+    assume(band[0] < band[1])
+    try:
+        steps = _check_batch_against_oracle(dielectric(), ratios, omega_m * WE, band, pol, n_grid)
+    except NumericError:
+        # a degenerate point rejects the batch; some row's search meets it alone
+        with pytest.raises(NumericError):
+            for r in ratios:
+                try:
+                    find_abyss_per_row(dielectric(), nimm(r * 2.73e13, omega_m * WE), band, pol, n_grid)
+                except AbyssNotFoundError:
+                    pass
+        return
+    event(f"distinct zoom step counts: {len(set(s for s in steps if s is not None))}")
+    event(f"rows without a minimum: {steps.count(None) > 0}")
+
+
+def test_batched_find_abyss_rows_with_different_step_counts():
+    ratios = np.geomspace(1e-5, 1.0, 13).tolist()
+    band = (0.3 * WE, 0.5 * WE)
+    steps = _check_batch_against_oracle(dielectric(), ratios, 0.5 * WE, band, Polarization.TM, 5)
+    assert {7, 8, None} <= set(steps)  # rows stop at different steps; the last has no minimum
+    one = _check_batch_against_oracle(dielectric(), ratios[:1], 0.5 * WE, band, Polarization.TM, 3)
+    assert one == [8]
+
+
+def test_batched_find_abyss_shapes_and_scalar_errors():
+    batch = nimm(gamma_m=np.array([[1e8], [1e11], [2.73e13]]))
+    got = find_abyss(dielectric(), batch, (0.3 * WE, 0.5 * WE))
+    assert got.omega0.shape == got.kappa_at_omega0.shape == got.residual.shape == (3,)
+    assert math.isnan(got.omega0[2]) and list(got.is_cancellation) == [False, True, False]
+    with pytest.raises(AbyssNotFoundError):
+        find_abyss(dielectric(), nimm(gamma_m=2.73e13), (0.3 * WE, 0.5 * WE))
+    with pytest.raises(ValueError, match=r"\(n, 1\)"):
+        find_abyss(dielectric(), nimm(gamma_m=np.array([1e8, 1e11])), (0.3 * WE, 0.5 * WE))
+
+
+def test_large_batch_wavevector_equals_per_row_calls():
+    # 40 x 512 complex points: past the 256 KiB at which numpy reuses temporaries
+    ratios = np.geomspace(1e-6, 1.0, 40)
+    omegas = np.linspace(0.3, 0.5, 512) * WE
+    for pol in Polarization:
+        batch = sp_wavevector(dielectric(), nimm(gamma_m=ratios[:, None] * 2.73e13), omegas, pol)
+        for i, r in enumerate(ratios.tolist()):
+            row = sp_wavevector(dielectric(), nimm(gamma_m=r * 2.73e13), omegas, pol)
+            for name in ("k_par", "kappa", "k1", "k2", "bc_residual", "bound"):
+                assert getattr(batch, name)[i].tobytes() == getattr(row, name).tobytes(), name
+
+
+@pytest.mark.parametrize("pol", list(Polarization))
+def test_group_velocity_solves_the_interface_once(pol, monkeypatch):
+    import polariton_lab.dispersion as dispersion
+
+    m1, m2 = dielectric(), nimm()
+    omegas = np.linspace(0.36, 0.49, 64) * WE
+    bound = sp_wavevector(m1, m2, omegas, pol).bound
+    calls = []
+    monkeypatch.setattr(dispersion, "eval_material", lambda m, w: calls.append(m) or eval_material(m, w))
+    got = group_velocity(m1, m2, omegas[bound], pol)
+    assert len(calls) == 2
+    # the same bits as the closed form evaluated on its own solve of the mode
+    w = omegas[bound]
+    point = sp_wavevector(m1, m2, w, pol)
+    (a1, a2, b1, b2), denom, radicand = dispersion._interface(m1, m2, w, pol)
+    da1, da2, db1, db2 = dispersion._by_polarization(
+        pol, *d_omega_material(m1, w), *d_omega_material(m2, w)
+    )
+    d_radicand = (
+        (a2 * a2 * b1 - 2.0 * a1 * a2 * b2 + 2.0 * radicand * a1) * da1
+        + (2.0 * a1 * a2 * b1 - a1 * a1 * b2 - 2.0 * radicand * a2) * da2
+        + a1 * a2 * a2 * db1
+        - a1 * a1 * a2 * db2
+    ) / denom
+    want = 1.0 / (w * d_radicand / (2.0 * C * C * point.k_parallel)).real
+    assert got.tobytes() == want.tobytes()

@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from polariton_lab.dispersion import swap_eps_mu
 from polariton_lab.materials import (
     GAMMA_E_SILVER,
     OMEGA_E_SILVER,
@@ -143,7 +146,48 @@ def test_invalid_parameters_rejected():
         DrudeParams(-1e15)
     with pytest.raises(ValueError):
         DrudeParams(1e15, -1.0)
-    with pytest.raises(ValueError):
-        HalfSpaceMaterial(0.5)  # constant permittivity below 1
+    for eps in (0.0, -1.3):  # a constant permittivity must be positive
+        with pytest.raises(ValueError):
+            HalfSpaceMaterial(eps)
     with pytest.raises(ValueError):
         HalfSpaceMaterial(1.3, 0.0)
+
+
+def test_dual_of_a_medium_with_small_constant_mu():
+    # mu1 in (0, 1) is valid, so the dual medium's constant permittivity is too
+    dual = swap_eps_mu(HalfSpaceMaterial(1.3, 0.5, "medium1"))
+    assert (dual.epsilon_model, dual.mu_model) == (0.5, 1.3)
+    assert eval_material(dual, 1e15).epsilon == 0.5 + 0j
+
+
+def test_negative_loss_rate_element_rejected():
+    with pytest.raises(ValueError, match="loss_rate"):
+        DrudeParams(1e15, np.array([[1e11], [-1.0], [2e11]]))
+    DrudeParams(1e15, np.array([[0.0], [1e11]]))  # zero is a valid rate
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    rates=st.lists(st.floats(0.0, 1e15), min_size=1, max_size=8),
+    xs=st.lists(st.floats(1e-3, 3.0), min_size=1, max_size=40),
+    magnetic=st.booleans(),
+)
+def test_batched_loss_rate_equals_per_row_calls(rates, xs, magnetic):
+    omegas = np.array(xs) * OMEGA_E_SILVER
+    batch = np.array(rates)[:, None]
+
+    def medium(rate):
+        pole = DrudeParams(0.5 * OMEGA_E_SILVER, rate)
+        return HalfSpaceMaterial(DrudeParams(OMEGA_E_SILVER, rate), pole if magnetic else 1.0)
+
+    r = eval_material(medium(batch), omegas)
+    de, dm = d_omega_material(medium(batch), omegas)
+    assert r.epsilon.shape == de.shape == (len(rates), len(xs))
+    for i, rate in enumerate(rates):
+        one = eval_material(medium(rate), omegas)
+        de1, dm1 = d_omega_material(medium(rate), omegas)
+        pairs = ((r.epsilon[i], one.epsilon), (de[i], de1))
+        if magnetic:
+            pairs += ((r.mu[i], one.mu), (dm[i], dm1))
+        for got, want in pairs:
+            assert got.tobytes() == want.tobytes()
