@@ -61,15 +61,16 @@ write_csv(
 )
 
 print("== delay scaling with the control amplitude ==")
-sweep = delay_vs_control(scenario(1e-3), [0.5e9, 1e9, 2e9, 4e9])
-for row in sweep.rows:
-    print(f"Omega/Gamma31 = {row.Omega / GAMMA31:3g}: delay = {row.delay / DT:6.2f} dt, "
-          f"amplitude = {row.amp_ratio:.3f}")
-print(f"fitted log-log slope: {sweep.slope:.3f}  (inverse-square control scaling)")
+omegas = np.array([0.5e9, 1e9, 2e9, 4e9])
+m, slope = delay_vs_control(scenario(1e-3), omegas)
+for om, delay, amp in zip(omegas, m.delay, m.amp_ratio):
+    print(f"Omega/Gamma31 = {om / GAMMA31:3g}: delay = {delay / DT:6.2f} dt, "
+          f"amplitude = {amp:.3f}")
+print(f"fitted log-log slope: {slope:.3f}  (inverse-square control scaling)")
 write_csv(
     OUT / "delay_vs_control.csv",
     ["Omega_over_Gamma31[1]", "delay_over_dt[1]", "amp_ratio[1]"],
-    [[r.Omega / GAMMA31, r.delay / DT, r.amp_ratio] for r in sweep.rows],
-    {"slope": f"{sweep.slope:.6f}"},
+    np.column_stack([omegas / GAMMA31, m.delay / DT, m.amp_ratio]),
+    {"slope": f"{slope:.6f}"},
 )
 print(f"files written under {OUT}")

@@ -41,8 +41,6 @@ from .materials import (
     silver,
 )
 from .propagation import (
-    ControlSweepResult,
-    ControlSweepRow,
     PropagationScenario,
     PulseMetrics,
     delay_vs_control,
@@ -62,8 +60,6 @@ __all__ = [
     "AbyssResult",
     "BranchCutError",
     "ConfigError",
-    "ControlSweepResult",
-    "ControlSweepRow",
     "CouplingConstant",
     "DIPOLE_EA0",
     "DispersionPoint",

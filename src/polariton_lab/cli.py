@@ -5,10 +5,12 @@ writes deterministic CSV files.  Every sweep is a serial run of array passes
 in one process: one per frequency band in ``dispersion``, one over the
 whole (magnetic-decoherence ratio, frequency) grid in ``lossmap`` plus one
 batched abyss search over all its ratios, one over the whole (control
-amplitude, detuning) grid in ``eit-spectrum``, and in ``propagate`` one
-layer response per control amplitude, shared by the pulses at every
-distance.  Each table goes to :func:`~polariton_lab.csvio.write_csv` as the
-2-D array the sweep built, and the plots take their curves from its columns.
+amplitude, detuning) grid in ``eit-spectrum``, and one
+:func:`~polariton_lab.propagation.propagate_pulse` pass over the whole
+(distance, control amplitude) grid in ``propagate``, which writes its files
+only once every pulse has been computed.  Each table goes to
+:func:`~polariton_lab.csvio.write_csv` as the 2-D array the sweep built, and
+the plots take their curves from its columns.
 ``--jobs`` is accepted and ignored, so the output is byte-identical for any
 ``--jobs`` value.  ``--plot`` adds minimal SVG renderings drawn from the rows
 already computed.  Exit codes: 0 success, 2 configuration error, 3 numeric
@@ -38,14 +40,8 @@ from .dispersion import (
 )
 from .eit import alpha_closed, alpha_resonant
 from .errors import ConfigError, NumericError
-from .materials import nimm, silver
-from .propagation import (
-    PropagationScenario,
-    delay_slope,
-    frequency_grid,
-    layer_alpha,
-    propagate_pulse,
-)
+from .materials import DrudeParams, silver
+from .propagation import PropagationScenario, delay_slope, propagate_pulse
 from .quantization import DIPOLE_EA0, coupling_constant, mode_normalization
 from .svgplot import line_plot
 
@@ -133,9 +129,13 @@ def cmd_lossmap(cfg: ScenarioConfig, out: Path, plot: bool) -> list[Path]:
         ratios = np.array([lm["gamma_ratio_min"]])
     else:
         ratios = np.geomspace(lm["gamma_ratio_min"], lm["gamma_ratio_max"], lm["n_gamma"])
-    # One medium per ratio, as the rows of one batch.
-    m2 = nimm(gamma_m=ratios[:, None] * cfg["materials"]["gamma_e"],
-              omega_m=cfg["materials"]["omega_m"])
+    # One medium 2 per ratio, as the rows of one batch: its magnetic loss
+    # rate is the ratio times its own electric loss rate.
+    m2 = cfg.medium2
+    if not isinstance(m2.mu_model, DrudeParams):
+        raise ConfigError(f"lossmap: medium 2 ({m2.label}) has no magnetic Drude pole to sweep")
+    rates = ratios[:, None] * m2.epsilon_model.loss_rate
+    m2 = replace(m2, mu_model=replace(m2.mu_model, loss_rate=rates))
     pol = cfg.polarization
     kappa = sp_wavevector(cfg.medium1, m2, omegas, pol).kappa
     abyss = find_abyss(cfg.medium1, m2, (float(omegas[0]), float(omegas[-1])), pol)
@@ -175,30 +175,37 @@ def cmd_lossmap(cfg: ScenarioConfig, out: Path, plot: bool) -> list[Path]:
 
 # --------------------------------------------------------------- eit-spectrum
 
-def _resolve_alpha0_v0(cfg: ScenarioConfig) -> tuple[float, float]:
-    """alpha0 and v0: configured values, or derived from the interface mode."""
-    eit = cfg["eit"]
-    pulse = cfg["pulse"]
-    omega31 = pulse["omega31_over_we"] * cfg.omega_e
-    v0 = pulse["v0"]
+def _carrier_v0(cfg: ScenarioConfig) -> float:
+    """The configured v0, or |group velocity| at the carrier: the speed along the
+    energy flow, which a backward-wave (TE) mode carries against its phase."""
+    v0 = cfg["pulse"]["v0"]
     if v0 == 0.0:
-        v0 = group_velocity(cfg.medium1, cfg.medium2, omega31, cfg.polarization)
-    alpha0 = eit["alpha0"]
+        omega31 = cfg["pulse"]["omega31_over_we"] * cfg.omega_e
+        v0 = abs(group_velocity(cfg.medium1, cfg.medium2, omega31, cfg.polarization))
+    return v0
+
+
+def _resolve_alpha0(cfg: ScenarioConfig, v0: float | None = None) -> float:
+    """alpha0: configured, or derived from the interface mode and ``v0``
+    (:func:`_carrier_v0` when not given)."""
+    eit = cfg["eit"]
     if eit["n"] == 0.0:
-        return 0.0, v0
-    if eit["alpha0_from_mode"]:
-        point = sp_wavevector(cfg.medium1, cfg.medium2, omega31, cfg.polarization)
-        norm = mode_normalization(cfg.medium1, cfg.medium2, point, eit["ly"])
-        g = coupling_constant(norm, point, DIPOLE_EA0)
-        params = cfg.lambda_params(eit["omega"][0])
-        params = replace(params, k1s=abs(point.k1), k1c=abs(point.k1))
-        alpha0 = alpha_resonant(params, abs(g.g) ** 2, v0)
-    return alpha0, v0
+        return 0.0
+    if not eit["alpha0_from_mode"]:
+        return eit["alpha0"]
+    v0 = _carrier_v0(cfg) if v0 is None else v0
+    omega31 = cfg["pulse"]["omega31_over_we"] * cfg.omega_e
+    point = sp_wavevector(cfg.medium1, cfg.medium2, omega31, cfg.polarization)
+    norm = mode_normalization(cfg.medium1, cfg.medium2, point, eit["ly"])
+    g = coupling_constant(norm, point, DIPOLE_EA0)
+    params = cfg.lambda_params(eit["omega"][0])
+    params = replace(params, k1s=abs(point.k1), k1c=abs(point.k1))
+    return alpha_resonant(params, abs(g.g) ** 2, v0)
 
 
 def cmd_eit_spectrum(cfg: ScenarioConfig, out: Path, plot: bool) -> list[Path]:
     eit = cfg["eit"]
-    alpha0, _ = _resolve_alpha0_v0(cfg)
+    alpha0 = _resolve_alpha0(cfg)
     gamma31 = eit["gamma31_linewidth"]
     span = eit["nu_span_over_gamma31"] * gamma31
     nus = np.linspace(-span, span, eit["n_nu"])
@@ -249,46 +256,27 @@ def cmd_eit_spectrum(cfg: ScenarioConfig, out: Path, plot: bool) -> list[Path]:
 
 def cmd_propagate(cfg: ScenarioConfig, out: Path, plot: bool) -> list[Path]:
     pulse = cfg["pulse"]
-    alpha0, v0 = _resolve_alpha0_v0(cfg)
+    v0 = _carrier_v0(cfg)
     gamma31 = cfg["eit"]["gamma31_linewidth"]
     delta_t = pulse["delta_t"]
+    xs, omegas = np.array(pulse["x"]), np.array(pulse["omega"])
+    scenario = PropagationScenario(  # grid row i is distance i, column j amplitude j
+        delta_t=delta_t, x=xs[:, None], v0=v0, kappa31=pulse["kappa31"],
+        alpha0=_resolve_alpha0(cfg, v0), eit=cfg.lambda_params(omegas),
+        n_nu=pulse["n_nu"], nu_span=pulse["nu_span_factor"] / delta_t,
+    )
+    t, env, m = propagate_pulse(scenario)
 
-    files: list[Path] = []
+    t_axis = t * gamma31
+    mags = np.abs(env)
     header_profile = ["t_Gamma31[1]", "abs_envelope[1]"]
-    metrics_rows = []
-    slope_rows = []
-    curves = []  # the first control amplitude's envelope at each distance
-    # alpha does not depend on the distance: one kernel pass per control
-    # amplitude serves every distance.  (One pass over the whole grid, as in
-    # eit-spectrum, gives the same bits but holds every amplitude's kernel
-    # arrays at once, for no measured gain in speed.)
-    alphas = []
-    for i_x, xi in enumerate(pulse["x"]):
-        delays = []
-        for i_om, om in enumerate(pulse["omega"]):
-            scenario = PropagationScenario(
-                delta_t=delta_t,
-                x=xi,
-                v0=v0,
-                kappa31=pulse["kappa31"],
-                alpha0=alpha0,
-                eit=cfg.lambda_params(om),
-                n_nu=pulse["n_nu"],
-                nu_span=pulse["nu_span_factor"] / delta_t,
-            )
-            if i_x == 0:
-                alphas.append(layer_alpha(scenario.eit, alpha0, frequency_grid(scenario)[0]))
-            t, env, m = propagate_pulse(scenario, alphas[i_om])
-            profile = np.column_stack([t * gamma31, np.abs(env)])
-            path = out / f"pulse_x{i_x}_om{i_om}.csv"
-            files.append(write_csv(path, header_profile, profile, _footer(cfg)))
-            metrics_rows.append([xi, om / gamma31, m.delay / delta_t, m.amp_ratio, m.vg, m.l_sp])
-            delays.append(m.delay)
-            if i_om == 0:
-                curves.append((profile[:, 0], profile[:, 1], f"x={xi:g} m"))
-        slope = delay_slope(pulse["omega"], delays, xi, v0)
-        slope_rows.append([xi, math.nan if slope is None else slope])
-
+    files = [
+        write_csv(out / f"pulse_x{i}_om{j}.csv", header_profile,
+                  np.column_stack([t_axis, mags[i, j]]), _footer(cfg))
+        for i, j in np.ndindex(mags.shape[:2])
+    ]
+    grid = np.broadcast_arrays(xs[:, None], omegas / gamma31)
+    columns = [*grid, m.delay / delta_t, m.amp_ratio, m.vg, m.l_sp]
     header_metrics = [
         "x[m]",
         "Omega_over_Gamma31[1]",
@@ -297,16 +285,19 @@ def cmd_propagate(cfg: ScenarioConfig, out: Path, plot: bool) -> list[Path]:
         "vg[m/s]",
         "l_sp[m]",
     ]
-    files.append(write_csv(out / "metrics.csv", header_metrics, metrics_rows, _footer(cfg)))
-    if len(pulse["omega"]) >= 2:
+    metrics = np.column_stack([c.ravel() for c in columns])
+    files.append(write_csv(out / "metrics.csv", header_metrics, metrics, _footer(cfg)))
+    if omegas.size >= 2:
+        slopes = [delay_slope(omegas, delays, xi, v0) for xi, delays in zip(pulse["x"], m.delay)]
+        slope_rows = [[xi, math.nan if k is None else k] for xi, k in zip(pulse["x"], slopes)]
         files.append(
             write_csv(out / "slope.csv", ["x[m]", "delay_slope[1]"], slope_rows, _footer(cfg))
         )
-    log("INFO", cmd="propagate", runs=len(metrics_rows), out=str(out))
+    log("INFO", cmd="propagate", runs=len(metrics), out=str(out))
 
     if plot:
-        t_axis = curves[0][0]
         input_env = np.exp(-0.5 * np.float_power(t_axis / (delta_t * gamma31), 2))
+        curves = [(t_axis, mags[i, 0], f"x={xi:g} m") for i, xi in enumerate(pulse["x"])]
         files.append(
             line_plot(
                 out / "fig_pulses.svg",

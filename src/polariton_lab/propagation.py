@@ -13,6 +13,11 @@ interpolation through the discrete maximum) is the delay metric; the envelope
 centroid is carried along as a diagnostic.  The reported delay is measured
 from the input peak at t = 0 and therefore contains the ballistic x/v0 term;
 the layer-induced delay is ``delay - x/v0``.
+
+A run covers a grid of pulses: ``x`` and the layer's ``Omega`` broadcast to
+one grid shape G, and :func:`propagate_pulse` evaluates it in one array pass
+(one layer response, exponent and FFT over G + (n_nu,), metrics per row),
+each pulse bit-equal to a run of its (x, Omega) pair alone.
 """
 
 from __future__ import annotations
@@ -33,10 +38,12 @@ _EDGE_TOL = 1e-6
 
 @dataclass(frozen=True)
 class PropagationScenario:
-    """One propagation run: pulse, distance, background loss, layer response."""
+    """Pulse, distances, background loss and layer response of one run;
+    ``x`` and ``eit.Omega`` broadcast to its grid shape :attr:`shape`.
+    Only a scalar run supports ``==`` and hashing."""
 
     delta_t: float
-    x: float
+    x: float | np.ndarray
     v0: float
     kappa31: float
     alpha0: float
@@ -47,7 +54,7 @@ class PropagationScenario:
     def __post_init__(self) -> None:
         if not self.delta_t > 0:
             raise ValueError("delta_t must be positive")
-        if self.x < 0:
+        if np.any(np.asarray(self.x) < 0):
             raise ValueError("x must be non-negative")
         if not self.v0 > 0:
             raise ValueError("v0 must be positive")
@@ -58,28 +65,35 @@ class PropagationScenario:
             raise ValueError("n_nu must be a power of two >= 1024")
         if self.nu_span is not None and self.nu_span < 10.0 / self.delta_t:
             raise ValueError("nu_span must cover the pulse spectrum (>= 10/delta_t)")
-        if self.kappa31 > 0 and self.x > 10.0 / self.kappa31:
+        x_max = float(np.max(self.x))
+        if self.kappa31 > 0 and x_max > 10.0 / self.kappa31:
             warnings.warn(
-                f"x = {self.x:.3e} m exceeds ten background decay lengths",
+                f"x = {x_max:.3e} m exceeds ten background decay lengths",
                 stacklevel=2,
             )
+        self.shape  # x and Omega must broadcast
 
     @property
     def span(self) -> float:
         return self.nu_span if self.nu_span is not None else 40.0 / self.delta_t
 
+    @property
+    def shape(self) -> tuple[int, ...]:
+        """The grid shape G that ``x`` and ``eit.Omega`` broadcast to."""
+        return np.broadcast_shapes(np.shape(self.x), np.shape(self.eit.Omega))
+
 
 @dataclass(frozen=True)
 class PulseMetrics:
-    """Peak timing, amplitude and width of a propagated envelope."""
+    """Peak timing, amplitude and width of the propagated envelopes: Python
+    floats for a scalar run, arrays of the run's grid shape otherwise."""
 
-    t_peak: float
-    delay: float
-    amp_ratio: float
-    width_ratio: float
-    vg: float
-    l_sp: float
-    centroid_delay: float
+    delay: float | np.ndarray
+    amp_ratio: float | np.ndarray
+    width_ratio: float | np.ndarray
+    vg: float | np.ndarray
+    l_sp: float | np.ndarray
+    centroid_delay: float | np.ndarray
 
 
 def frequency_grid(s: PropagationScenario) -> tuple[np.ndarray, float]:
@@ -89,92 +103,87 @@ def frequency_grid(s: PropagationScenario) -> tuple[np.ndarray, float]:
     return (np.arange(n) - n // 2) * dnu, dnu
 
 
-def layer_alpha(
-    p: LambdaMediumParams, alpha0: float, nu: float | np.ndarray
-) -> complex | np.ndarray:
-    """The layer's alpha(nu) from :func:`alpha_closed`, or 0.0 for an empty layer."""
-    if p.n == 0.0 or alpha0 == 0.0:
-        return 0.0
-    return alpha_closed(p, alpha0, nu).alpha
-
-
-def transfer_function(
-    s: PropagationScenario, nu: float | np.ndarray, alpha: complex | np.ndarray | None = None
-) -> complex | np.ndarray:
+def transfer_function(s: PropagationScenario, nu: float | np.ndarray) -> complex | np.ndarray:
     """Spectral factor exp{[i*nu/v0 - alpha(nu) - kappa31] * x} at a scalar or an ndarray ``nu``.
 
-    ``alpha`` is the layer's alpha at ``nu`` when the caller has it already
-    (see :func:`layer_alpha`).  Where the exponent's real part is below -700
-    the factor is 0.
+    The factor has the shape ``s.shape + nu.shape``: the layer's alpha is one
+    :func:`alpha_closed` call over the (Omega, nu) grid, or 0 for an empty
+    layer.  Where the exponent's real part is below -700 the factor is 0.
     """
     nu = np.asarray(nu, dtype=float)
-    if alpha is None:
-        alpha = layer_alpha(s.eit, s.alpha0, nu)
-    exponent = (1j * (nu / s.v0) - alpha - s.kappa31) * s.x
+    p, omega = s.eit, np.asarray(s.eit.Omega)
+    if p.n == 0.0 or s.alpha0 == 0.0:
+        alpha = np.zeros(omega.shape + nu.shape)
+    else:
+        if omega.ndim:
+            p = replace(p, Omega=omega.reshape(omega.shape + (1,) * nu.ndim))
+        alpha = alpha_closed(p, s.alpha0, np.broadcast_to(nu, omega.shape + nu.shape)).alpha
+    x = np.reshape(s.x, np.shape(s.x) + (1,) * nu.ndim)
+    exponent = (1j * (nu / s.v0) - alpha - s.kappa31) * x
     h = np.where(exponent.real < _EXP_FLOOR, 0j, np.exp(exponent))
     return complex(h) if h.ndim == 0 else h
 
 
-def _centered_inverse_transform(spectrum: np.ndarray, dnu: float) -> np.ndarray:
-    # A(t_l) = dnu * sum_m X_m exp(-i*nu_m*t_l) on centered nu/t grids.
-    return np.fft.fftshift(np.fft.fft(np.fft.ifftshift(spectrum))) * dnu
-
-
-def _parabolic_peak(t: np.ndarray, mag: np.ndarray) -> tuple[float, float]:
-    i = int(np.argmax(mag))
-    if i == 0 or i == len(mag) - 1:
-        return float(t[i]), float(mag[i])
-    y0, y1, y2 = mag[i - 1], mag[i], mag[i + 1]
+def _parabolic_peak(t: np.ndarray, mag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Time and height of each row's peak: the vertex of the parabola through
+    the discrete maximum and its two neighbours, or the maximum itself at a
+    grid edge or on a flat top."""
+    n = mag.shape[-1]
+    i = np.argmax(mag, axis=-1)[..., None]
+    y0, y1, y2 = (
+        np.take_along_axis(mag, np.clip(i + k, 0, n - 1), axis=-1)[..., 0] for k in (-1, 0, 1)
+    )
+    i = i[..., 0]
     denom = y0 - 2.0 * y1 + y2
-    if denom == 0.0:
-        return float(t[i]), float(y1)
-    shift = 0.5 * (y0 - y2) / denom
+    flat = (i == 0) | (i == n - 1) | (denom == 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        shift = 0.5 * (y0 - y2) / denom
     dt = t[1] - t[0]
-    peak = y1 - 0.25 * (y0 - y2) * shift
-    return float(t[i] + shift * dt), float(peak)
+    return (
+        np.where(flat, t[i], t[i] + shift * dt),
+        np.where(flat, y1, y1 - 0.25 * (y0 - y2) * shift),
+    )
 
 
-def propagate_pulse(
-    s: PropagationScenario, alpha: complex | np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray, PulseMetrics]:
-    """Propagate the Gaussian probe a distance ``s.x``.
+def propagate_pulse(s: PropagationScenario) -> tuple[np.ndarray, np.ndarray, PulseMetrics]:
+    """Propagate the Gaussian probe over every (x, Omega) pair of the run's grid.
 
-    ``alpha`` is the layer's alpha on :func:`frequency_grid` when the caller
-    has it already; alpha does not depend on the distance.  Returns the time
-    grid, the complex output envelope, and the extracted
-    :class:`PulseMetrics`.  Raises :class:`NumericError` when the envelope
-    has not decayed at the time-grid edges (aliased output).
+    Returns the time grid, the complex output envelopes (shape
+    ``s.shape + (n_nu,)``), and their :class:`PulseMetrics`.  Raises
+    :class:`NumericError` naming the first pair, in row-major grid order,
+    whose envelope has not decayed at the time-grid edges (aliased output).
     """
     n = s.n_nu
     nu, dnu = frequency_grid(s)
     spectrum = s.delta_t / math.sqrt(2.0 * math.pi) * np.exp(-0.5 * (nu * s.delta_t) ** 2)
-
-    env = _centered_inverse_transform(spectrum * transfer_function(s, nu, alpha), dnu)
+    h = transfer_function(s, nu)  # named operand: see eit.hyp2f1_special
+    spectra = np.fft.ifftshift(spectrum * h, axes=-1)
+    env = np.fft.fftshift(np.fft.fft(spectra, axis=-1), axes=-1) * dnu
 
     T = 2.0 * math.pi / dnu
     t = (np.arange(n) - n // 2) * (T / n)
     mag = np.abs(env)
-    peak_mag = float(mag.max())
-    if peak_mag > 0 and max(mag[0], mag[-1]) > _EDGE_TOL * peak_mag:
+    peak_mag = mag.max(axis=-1)
+    aliased = (peak_mag > 0) & (np.maximum(mag[..., 0], mag[..., -1]) > _EDGE_TOL * peak_mag)
+    if aliased.any():
+        first = np.unravel_index(np.argmax(aliased), aliased.shape)
+        x, omega = (np.broadcast_to(v, aliased.shape)[first] for v in (s.x, s.eit.Omega))
         raise NumericError(
             "output envelope does not decay at the time-grid edges; "
-            "increase n_nu or shrink nu_span"
+            f"increase n_nu or shrink nu_span (x = {x:.6g} m, Omega = {omega:.6g} rad/s)"
         )
 
     t_peak, amp = _parabolic_peak(t, mag)
     power = mag**2
-    total = float(power.sum())
-    if total > 0:
-        centroid = float((t * power).sum() / total)
-        width = math.sqrt(float(((t - centroid) ** 2 * power).sum() / total))
-    else:
-        centroid = 0.0
-        width = 0.0
+    total = power.sum(axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        centroid = np.where(total > 0, (t * power).sum(axis=-1) / total, 0.0)
+        spread = ((t - centroid[..., None]) ** 2 * power).sum(axis=-1) / total
+        width = np.where(total > 0, np.sqrt(spread), 0.0)
+        vg = np.where((np.asarray(s.x) > 0) & (t_peak > 0), s.x / t_peak, math.nan)
     width_in = s.delta_t / math.sqrt(2.0)  # RMS width of the input |envelope|^2
 
-    vg = s.x / t_peak if (s.x > 0 and t_peak > 0) else math.nan
-    metrics = PulseMetrics(
-        t_peak=t_peak,
+    fields = dict(
         delay=t_peak,
         amp_ratio=amp,
         width_ratio=width / width_in,
@@ -182,40 +191,25 @@ def propagate_pulse(
         l_sp=vg * s.delta_t,
         centroid_delay=centroid,
     )
-    return t, env, metrics
-
-
-@dataclass(frozen=True)
-class ControlSweepRow:
-    Omega: float
-    delay: float
-    amp_ratio: float
-
-
-@dataclass(frozen=True)
-class ControlSweepResult:
-    rows: tuple[ControlSweepRow, ...]
-    slope: float | None
+    if not s.shape:
+        fields = {k: float(v) for k, v in fields.items()}
+    return t, env, PulseMetrics(**fields)
 
 
 def delay_vs_control(
     s: PropagationScenario, omega_grid: Sequence[float]
-) -> ControlSweepResult:
-    """Propagate once per control amplitude and fit the delay scaling.
+) -> tuple[PulseMetrics, float | None]:
+    """Pulse metrics over a line of control amplitudes, and the fitted delay scaling.
 
-    The fit is :func:`delay_slope`; with fewer than two usable points no
-    fit is reported.
+    One :func:`propagate_pulse` pass over ``omega_grid`` at the scenario's
+    distance; the slope is :func:`delay_slope`, ``None`` with fewer than two
+    usable points.
     """
-    rows = []
-    for om in omega_grid:
-        if not om > 0:
-            raise ValueError("control amplitudes must be positive")
-        run = replace(s, eit=replace(s.eit, Omega=float(om)))
-        _, _, metrics = propagate_pulse(run)
-        rows.append(ControlSweepRow(Omega=float(om), delay=metrics.delay, amp_ratio=metrics.amp_ratio))
-
-    slope = delay_slope([r.Omega for r in rows], [r.delay for r in rows], s.x, s.v0)
-    return ControlSweepResult(rows=tuple(rows), slope=slope)
+    omegas = np.asarray(omega_grid, dtype=float)
+    if not np.all(omegas > 0):
+        raise ValueError("control amplitudes must be positive")
+    _, _, metrics = propagate_pulse(replace(s, eit=replace(s.eit, Omega=omegas)))
+    return metrics, delay_slope(omegas, metrics.delay, s.x, s.v0)
 
 
 def delay_slope(

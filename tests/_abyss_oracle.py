@@ -18,7 +18,7 @@ from polariton_lab.dispersion import (
     loss_cancellation_residual,
     sp_wavevector,
 )
-from polariton_lab.materials import nimm
+from polariton_lab.materials import DrudeParams, HalfSpaceMaterial
 
 _ABYSS_XTOL = 1e-9
 _ZOOM_POINTS = 33
@@ -53,11 +53,14 @@ def find_abyss_per_row(m1, m2, search_band, pol, n_grid=512):
 
 
 def lossmap_tables(cfg):
-    """(lossmap rows, abyss_track rows) of ``cfg``, one ratio at a time."""
+    """(lossmap rows, abyss_track rows) of ``cfg``, one ratio at a time.
+
+    Ratio r gives medium 2 the magnetic loss rate r times its electric one,
+    with its own magnetic plasma frequency.
+    """
     kappa0 = cfg["band"]["kappa0"]
     lm = cfg["lossmap"]
-    gamma_e = cfg["materials"]["gamma_e"]
-    omega_m = cfg["materials"]["omega_m"]
+    m2 = cfg.medium2
     band = cfg["band"]
     omegas = np.linspace(
         band["omega_min_over_we"] * cfg.omega_e,
@@ -72,12 +75,15 @@ def lossmap_tables(cfg):
 
     blocks, track_rows = [], []
     for ratio in ratios.tolist():
-        m2 = nimm(gamma_m=ratio * gamma_e, omega_m=omega_m)
-        kappa = sp_wavevector(cfg.medium1, m2, omegas, cfg.polarization).kappa
+        rate = ratio * m2.epsilon_model.loss_rate
+        m2_ratio = HalfSpaceMaterial(
+            m2.epsilon_model, DrudeParams(m2.mu_model.plasma_frequency, rate), m2.label
+        )
+        kappa = sp_wavevector(cfg.medium1, m2_ratio, omegas, cfg.polarization).kappa
         columns = [np.full(omegas.shape, ratio), omegas / cfg.omega_e, kappa / kappa0]
         blocks.append(np.column_stack(columns))
         try:
-            abyss, _ = find_abyss_per_row(cfg.medium1, m2, band_limits, cfg.polarization)
+            abyss, _ = find_abyss_per_row(cfg.medium1, m2_ratio, band_limits, cfg.polarization)
             track_rows.append([ratio, abyss.omega0 / cfg.omega_e, abyss.kappa_at_omega0 / kappa0])
         except AbyssNotFoundError:
             track_rows.append([ratio, math.nan, math.nan])

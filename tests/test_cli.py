@@ -15,7 +15,7 @@ from polariton_lab.csvio import read_csv, round_trip_ok, write_csv
 from polariton_lab.dispersion import Polarization, sp_wavevector
 from polariton_lab.eit import alpha_closed, alpha_quadrature
 from polariton_lab.errors import ConfigError
-from polariton_lab.materials import OMEGA_E_SILVER, dielectric, nimm
+from polariton_lab.materials import OMEGA_E_SILVER, DrudeParams, dielectric, nimm
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -237,7 +237,7 @@ def test_eit_spectrum_bytes_equal_per_omega_calls(tmp_path, ini):
     assert main(["eit-spectrum", "--config", str(ini), "--out", str(out)]) == EXIT_OK
     cfg = load_config(ini)
     eit = cfg["eit"]
-    alpha0, _ = cli._resolve_alpha0_v0(cfg)
+    alpha0 = cli._resolve_alpha0(cfg)
     gamma31 = eit["gamma31_linewidth"]
     span = eit["nu_span_over_gamma31"] * gamma31
     nus = np.linspace(-span, span, eit["n_nu"])
@@ -280,6 +280,43 @@ def test_propagate_outputs_and_slope(tmp_path):
     assert slope_rows[0][1] == pytest.approx(-2.0, abs=0.2)
 
 
+def test_propagate_aliasing_writes_no_pulse_file(tmp_path, capsys):
+    # the second distance parks the pulse on the time-grid edge: the whole
+    # grid fails before any file is written
+    cfg = tmp_path / "alias.ini"
+    cfg.write_text("[pulse]\nn_nu = 1024\nx = 1e-4, 1e-3\nv0 = 125\n")
+    out = tmp_path / "out"
+    assert main(["propagate", "--config", str(cfg), "--out", str(out)]) == EXIT_NUMERIC
+    assert list(out.iterdir()) == []
+    assert "(x = 0.001 m, Omega = 1e+09 rad/s)" in capsys.readouterr().err
+
+
+def test_te_propagate_follows_the_energy_flow(tmp_path):
+    # the TE mode is a backward wave (group velocity < 0); the pulse travels
+    # along its energy flow at |vg|
+    cfg = tmp_path / "te.ini"
+    cfg.write_text("[band]\npolarization = TE\n\n[pulse]\nn_nu = 1024\n")
+    out = tmp_path / "out"
+    assert main(["propagate", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    _, rows, _ = read_csv(out / "metrics.csv")
+    assert len(rows) == 2
+    assert all(row[4] > 0 for row in rows)
+    assert rows[0][2] == pytest.approx(2.0, rel=0.01)  # delay/dt at 1 mm
+
+
+def test_eit_spectrum_needs_no_bound_mode_at_the_carrier(tmp_path):
+    # no TM mode binds at omega31 = 0.2 omega_e; eit-spectrum has no use for
+    # the carrier's group velocity, so it runs and writes the default rows
+    outs = []
+    for name, text in (("default", ""), ("unbound", "[pulse]\nomega31_over_we = 0.2\n")):
+        (tmp_path / f"{name}.ini").write_text("[eit]\nn_nu = 11\n\n" + text)
+        out = tmp_path / name
+        assert main(["eit-spectrum", "--config", str(tmp_path / f"{name}.ini"),
+                     "--out", str(out)]) == EXIT_OK
+        outs.append(read_csv(out / "eit_spectrum.csv")[:2])
+    assert outs[0] == outs[1]
+
+
 def test_propagate_zero_density_row(tmp_path):
     cfg = tmp_path / "p0.ini"
     cfg.write_text("[eit]\nn = 0\n\n[pulse]\nn_nu = 1024\nx = 1e-3\nomega = 1e9\n")
@@ -312,20 +349,28 @@ def test_plot_files_written(tmp_path, small_config):
 
 _ONE_RATIO = "[lossmap]\nn_gamma = 1\ngamma_ratio_min = 3e-3\n\n[band]\nn_points = 200\n"
 _TE_LOSSMAP = "[band]\npolarization = TE\nn_points = 64\n\n[lossmap]\nn_gamma = 5\n"
+_CUSTOM = ("[materials]\npreset2 = custom\ngamma_e = 5e13\nomega_m = 6.6e15\n\n"
+           "[band]\nn_points = 64\n\n[lossmap]\nn_gamma = 5\n")
+_NO_MAGNETIC_POLE = "[materials]\npreset2 = custom\nmagnetic = constant\n"
 
 
 @pytest.mark.parametrize(
     "ini",
     [ROOT / "scenarios" / name for name in ("reference.ini", "silver.ini", "control_sweep.ini")]
-    + [_ONE_RATIO, _TE_LOSSMAP],
+    + [_ONE_RATIO, _TE_LOSSMAP, _CUSTOM, _NO_MAGNETIC_POLE],
 )
-def test_lossmap_bytes_equal_per_ratio_oracle(tmp_path, ini):
+def test_lossmap_bytes_equal_per_ratio_oracle(tmp_path, ini, capsys):
     if isinstance(ini, str):
         (tmp_path / "lossmap.ini").write_text(ini)
         ini = tmp_path / "lossmap.ini"
     out = tmp_path / "out"
-    assert main(["lossmap", "--config", str(ini), "--out", str(out)]) == EXIT_OK
     cfg = load_config(ini)
+    if not isinstance(cfg.medium2.mu_model, DrudeParams):  # silver: no magnetic pole to sweep
+        assert main(["lossmap", "--config", str(ini), "--out", str(out)]) == EXIT_CONFIG
+        assert "kind=config detail=lossmap: medium 2" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+        return
+    assert main(["lossmap", "--config", str(ini), "--out", str(out)]) == EXIT_OK
     map_rows, track_rows = lossmap_tables(cfg)
     footer = {"config_hash": cfg.config_hash, "tool_version": __version__}
     want = tmp_path / "want"

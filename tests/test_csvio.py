@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polariton_lab import csvio
-from polariton_lab.cli import EXIT_OK, main
+from polariton_lab.cli import EXIT_CONFIG, EXIT_OK, main
 from polariton_lab.csvio import read_csv, serialize, write_csv
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -145,6 +145,9 @@ def test_cli_csvs_equal_oracle_reserialization(tmp_path, ini, command):
     # Machine independent: the oracle formats whatever floats this machine computed.
     out = tmp_path / "out"
     argv = [command, "--config", str(ini), "--out", str(out), "--plot", "--validate"]
+    if (ini.name, command) == ("silver.ini", "lossmap"):  # silver has no magnetic pole to sweep
+        assert main(argv) == EXIT_CONFIG
+        return
     assert main(argv) == EXIT_OK
     csvs = sorted(out.glob("*.csv"))
     assert csvs

@@ -1,11 +1,14 @@
 """Pulse propagation: dispersionless checks, energy, grid stability, scaling."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
+
+from _pulse_oracle import propagate_pair
 
 from polariton_lab.eit import LambdaMediumParams
 from polariton_lab.errors import NumericError
@@ -13,8 +16,6 @@ from polariton_lab.propagation import (
     PropagationScenario,
     delay_slope,
     delay_vs_control,
-    frequency_grid,
-    layer_alpha,
     propagate_pulse,
     transfer_function,
 )
@@ -121,17 +122,16 @@ def test_layer_delay_matches_reference_scenarios():
 
 
 def test_delay_vs_control_inverse_square():
-    sweep = delay_vs_control(scenario(), [0.5e9, 1e9, 2e9, 4e9])
-    assert sweep.slope == pytest.approx(-2.0, abs=0.2)
-    assert len(sweep.rows) == 4
-    delays = [r.delay for r in sweep.rows]
-    assert all(a > b for a, b in zip(delays, delays[1:]))
+    m, slope = delay_vs_control(scenario(), [0.5e9, 1e9, 2e9, 4e9])
+    assert slope == pytest.approx(-2.0, abs=0.2)
+    assert m.delay.shape == m.amp_ratio.shape == (4,)
+    assert np.all(np.diff(m.delay) < 0)
 
 
 def test_single_point_sweep_has_no_fit():
-    sweep = delay_vs_control(scenario(), [1e9])
-    assert sweep.slope is None
-    assert len(sweep.rows) == 1
+    m, slope = delay_vs_control(scenario(), [1e9])
+    assert slope is None
+    assert m.delay.shape == (1,)
 
 
 def test_delay_slope_fits_positive_excess_only():
@@ -152,6 +152,15 @@ def test_aliasing_detected():
     window = 2 * math.pi * s.n_nu / s.span
     with pytest.raises(NumericError):
         propagate_pulse(empty_layer(kappa31=0.0, n_nu=1024, x=V0 * window / 2))
+    # on a grid, the error names the first aliased (x, Omega) pair
+    xs = np.array([1e-3, V0 * window / 2, V0 * window / 2])[:, None]
+    grid = empty_layer(kappa31=0.0, n_nu=1024, x=xs,
+                       eit=LambdaMediumParams(n=0.0, Omega=np.array([1e9, 2e9])))
+    prefix = ("output envelope does not decay at the time-grid edges; "
+              "increase n_nu or shrink nu_span")
+    with pytest.raises(NumericError, match=f"^{prefix}") as err:
+        propagate_pulse(grid)
+    assert f"(x = {xs[1, 0]:.6g} m, Omega = 1e+09 rad/s)" in str(err.value)
 
 
 def test_scenario_validation():
@@ -165,11 +174,15 @@ def test_scenario_validation():
         scenario(delta_t=-1.0)
     with pytest.warns(UserWarning):
         scenario(x=1.0)  # far beyond the background decay length
+    with pytest.raises(ValueError):
+        scenario(x=np.array([1e-3, -1e-3]))
+    with pytest.raises(ValueError):  # x and Omega do not broadcast
+        scenario(x=np.array([1e-3, 2e-3]), eit=LambdaMediumParams(Omega=np.array([1e9] * 3)))
 
 
 def test_centroid_close_to_peak_for_symmetric_output():
     _, _, m = propagate_pulse(empty_layer())
-    assert m.centroid_delay == pytest.approx(m.t_peak, rel=1e-3)
+    assert m.centroid_delay == pytest.approx(m.delay, rel=1e-3)
 
 
 def test_transfer_function_array_equals_scalar_calls():
@@ -212,13 +225,44 @@ def test_passive_layer_never_amplifies_the_peak(x, kappa31, alpha0, omega_frac, 
     assert 0.0 < m.amp_ratio <= 1.0 + 1e-12
 
 
-def test_precomputed_alpha_gives_the_same_pulse():
-    # what the CLI does: one layer response per control amplitude, for every distance
-    for x in (1e-3, 3e-3):
-        s = PropagationScenario(delta_t=DT, x=x, v0=V0, kappa31=100.0, alpha0=1e7, n_nu=1024)
-        alpha = layer_alpha(s.eit, s.alpha0, frequency_grid(s)[0])
-        t, env, m = propagate_pulse(s)
-        t2, env2, m2 = propagate_pulse(s, alpha)
-        assert np.array_equal(t, t2) and m == m2
-        assert np.array_equal(env.view(float), env2.view(float))
-    assert layer_alpha(LambdaMediumParams(n=0.0), 1e7, np.zeros(3)) == 0.0
+def _assert_grid_equals_per_pair_oracle(s):
+    t, env, m = propagate_pulse(s)
+    assert env.shape == s.shape + (s.n_nu,)
+    if not s.shape:
+        assert all(type(getattr(m, name)) is float for name in vars(m))
+    xs, omegas = np.broadcast_arrays(s.x, s.eit.Omega)
+    for idx in np.ndindex(s.shape):
+        pair = replace(s, x=float(xs[idx]), eit=replace(s.eit, Omega=float(omegas[idx])))
+        t1, env1, m1 = propagate_pair(pair)
+        assert t.view(float).tobytes() == t1.view(float).tobytes()
+        assert env[idx].view(float).tobytes() == env1.view(float).tobytes(), idx
+        for name, value in m1.items():
+            got = np.float64(np.asarray(getattr(m, name))[idx])
+            assert got.view(float).tobytes() == np.float64(value).view(float).tobytes(), (name, idx)
+
+
+_CONTROL_SWEEP = dict(xs=[1e-3, 3e-3], omegas=[0.5e9, 1e9, 2e9, 4e9], kappa31=100.0,
+                      alpha0=1e7, b=1.0, n_nu=4096)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    xs=st.one_of(st.floats(0.0, 3e-3), st.lists(st.floats(0.0, 3e-3), min_size=1, max_size=3)),
+    omegas=st.one_of(st.floats(0.5e9, 4e9),
+                     st.lists(st.floats(0.5e9, 4e9), min_size=1, max_size=4)),
+    kappa31=st.sampled_from([0.0, 100.0]),
+    alpha0=st.sampled_from([0.0, 1e7, 3e7]),
+    b=st.sampled_from([1.0, 1.5]),
+    n_nu=st.just(1024),
+)
+@example(**_CONTROL_SWEEP)  # 2 x 4 x 4096 complex: 512 KiB, past numpy's in-place reuse
+def test_grid_pulse_bit_equals_per_pair_oracle(xs, omegas, kappa31, alpha0, b, n_nu):
+    # One pass over the (x, Omega) grid gives every pulse and metric that a
+    # run of its pair alone gives, bit for bit.
+    x = np.array(xs) if isinstance(xs, list) else xs
+    omega = np.array(omegas) if isinstance(omegas, list) else omegas
+    if np.ndim(x) and np.ndim(omega):
+        x = x[:, None]  # distances down, control amplitudes across
+    s = scenario(x=x, kappa31=kappa31, alpha0=alpha0, n_nu=n_nu,
+                 eit=LambdaMediumParams(Omega=omega, k1s=b * 1e6))
+    _assert_grid_equals_per_pair_oracle(s)
