@@ -125,10 +125,7 @@ def cmd_lossmap(cfg: ScenarioConfig, out: Path, plot: bool) -> list[Path]:
     kappa0 = cfg["band"]["kappa0"]
     lm = cfg["lossmap"]
     omegas = _band(cfg)
-    if lm["n_gamma"] == 1:
-        ratios = np.array([lm["gamma_ratio_min"]])
-    else:
-        ratios = np.geomspace(lm["gamma_ratio_min"], lm["gamma_ratio_max"], lm["n_gamma"])
+    ratios = np.geomspace(lm["gamma_ratio_min"], lm["gamma_ratio_max"], lm["n_gamma"])
     # One medium 2 per ratio, as the rows of one batch: its magnetic loss
     # rate is the ratio times its own electric loss rate.
     m2 = cfg.medium2
@@ -158,7 +155,7 @@ def cmd_lossmap(cfg: ScenarioConfig, out: Path, plot: bool) -> list[Path]:
         blocks = map_table.reshape(ratios.size, omegas.size, len(header_map))
         curves = [
             (blocks[i][:, 1], np.abs(blocks[i][:, 2]), f"gamma_m/gamma_e={ratios[i]:.2g}")
-            for i in (0, len(ratios) // 2, len(ratios) - 1)
+            for i in sorted({0, ratios.size // 2, ratios.size - 1})
         ]
         files.append(
             line_plot(

@@ -2,16 +2,17 @@
 
 Every key has a default reproducing the reference low-loss scenario, so an
 empty file (or no file) is a valid configuration.  Unknown sections or keys
-are rejected; value errors are reported with their ``section.key`` path; the
-physical invariants of the objects a configuration builds are re-validated at
-load time.  A canonical hash of the fully resolved configuration is embedded
-in output footers for provenance.
+are rejected; value errors (a non-finite float among them) are reported with
+their ``section.key`` path; the physical invariants of the objects a
+configuration builds are re-validated at load time.  A canonical hash of the
+fully resolved configuration is embedded in output footers for provenance.
 """
 
 from __future__ import annotations
 
 import configparser
 import hashlib
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -119,10 +120,18 @@ class ScenarioConfig:
         return Polarization(self.values["band"]["polarization"])
 
 
+def _finite(raw: str, path: str) -> float:
+    """``raw`` as a finite float; only ``eit.z0`` may be inf (a semi-infinite layer)."""
+    value = float(raw)
+    if not math.isfinite(value) and not (path == "eit.z0" and value == math.inf):
+        raise ValueError(f"not a finite number: {raw.strip()!r}")
+    return value
+
+
 def _parse_value(kind: str, raw: str, path: str) -> Any:
     try:
         if kind == _FLOAT:
-            return float(raw)
+            return _finite(raw, path)
         if kind == _INT:
             return int(raw)
         if kind == _BOOL:
@@ -136,7 +145,7 @@ def _parse_value(kind: str, raw: str, path: str) -> Any:
             items = [s for s in (part.strip() for part in raw.split(",")) if s]
             if not items:
                 raise ValueError("empty list")
-            return tuple(float(s) for s in items)
+            return tuple(_finite(s, path) for s in items)
         return raw.strip()
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from None
@@ -265,21 +274,13 @@ def load_config(path: str | Path | None) -> ScenarioConfig:
     try:
         medium1 = HalfSpaceMaterial(m["epsilon1"], m["mu1"], "medium1")
         medium2 = _build_medium2(m)
+        if isinstance(medium2.epsilon_model, DrudeParams):
+            omega_e = medium2.epsilon_model.plasma_frequency
+        else:
+            omega_e = m["omega_e"]
+        cfg = ScenarioConfig(values, medium1, medium2, omega_e, _hash(values))
         # Re-validate the EIT invariants by building the parameter object once.
-        for om in values["eit"]["omega"]:
-            ScenarioConfig(values, medium1, medium2, 0.0, "").lambda_params(om)
+        cfg.lambda_params(np.array(values["eit"]["omega"]))
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-
-    if isinstance(medium2.epsilon_model, DrudeParams):
-        omega_e = medium2.epsilon_model.plasma_frequency
-    else:
-        omega_e = m["omega_e"]
-
-    return ScenarioConfig(
-        values=values,
-        medium1=medium1,
-        medium2=medium2,
-        omega_e=omega_e,
-        config_hash=_hash(values),
-    )
+    return cfg

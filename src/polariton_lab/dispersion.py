@@ -297,13 +297,12 @@ def find_abyss(
         )
 
     # Row r of win_w, win_k: the minimum of found row r's latest scan
-    # (column 1) between its two neighbours, NaN past an end of the scan.
+    # (column 1) between its two neighbours, which are the bracket; at an
+    # end of the scan the neighbour is the minimum itself.
     win_w, win_k = _window(np.broadcast_to(grid, kappa.shape)[found], kappa[found], i[found])
     narrowing = np.arange(found.size)
     while True:
-        # The bracket: the neighbours, or the minimum itself past an end (the
-        # scans ascend, and fmin and fmax pass over NaN).
-        a, c = np.fmin(win_w[:, 0], win_w[:, 1]), np.fmax(win_w[:, 1], win_w[:, 2])
+        a, c = win_w[:, 0], win_w[:, 2]
         narrowing = narrowing[c[narrowing] - a[narrowing] > _ABYSS_XTOL * win_w[narrowing, 1]]
         if not narrowing.size:
             break
@@ -313,7 +312,8 @@ def find_abyss(
         win_w[narrowing], win_k[narrowing] = _window(zoom, k, np.argmin(np.abs(k), axis=1))
 
     omega0, kappa0 = win_w[:, 1], win_k[:, 1]
-    # A sign change of kappa next to the minimum: step to its root.
+    # A sign change of kappa next to the minimum: step to its root.  (A
+    # neighbour clipped at a scan end is the minimum, and k * k < 0 is False.)
     left = win_k[:, 0] * kappa0 < 0
     crossing = np.flatnonzero(left | (win_k[:, 2] * kappa0 < 0))
     if crossing.size:
@@ -358,12 +358,9 @@ def _take(m: HalfSpaceMaterial, rows: np.ndarray) -> HalfSpaceMaterial:
 
 
 def _window(w: np.ndarray, k: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Columns j - 1, j and j + 1 of each row of the scan (w, k); NaN past an end."""
-    cols = j[:, None] + np.arange(-1, 2)
-    inside = (cols >= 0) & (cols < w.shape[1])
-    cols = np.clip(cols, 0, w.shape[1] - 1)
-    w, k = (np.where(inside, np.take_along_axis(x, cols, axis=1), np.nan) for x in (w, k))
-    return w, k
+    """Columns j - 1, j and j + 1 of each row of the scan (w, k), clipped at its ends."""
+    cols = np.clip(j[:, None] + np.arange(-1, 2), 0, w.shape[1] - 1)
+    return np.take_along_axis(w, cols, axis=1), np.take_along_axis(k, cols, axis=1)
 
 
 def swap_eps_mu(m: HalfSpaceMaterial) -> HalfSpaceMaterial:

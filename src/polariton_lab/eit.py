@@ -60,7 +60,9 @@ class LambdaMediumParams:
     ``Omega`` is a float or an ndarray of control amplitudes that broadcasts
     against the detunings given to :func:`alpha_closed`, which then
     evaluates every (Omega, nu) pair at once; each element must be
-    non-negative.  :func:`alpha_quadrature` takes a scalar ``Omega`` only.
+    non-negative (NaN fails every check).  :func:`alpha_quadrature` takes a
+    scalar ``Omega`` only, and only a scalar ``Omega`` supports ``==`` and
+    hashing.
     """
 
     n: float = 1e24
@@ -73,15 +75,15 @@ class LambdaMediumParams:
     Ly: float = 2.5e-6
 
     def __post_init__(self) -> None:
-        if self.n < 0:
+        if not self.n >= 0:
             raise ValueError("density n must be non-negative")
         if not self.z0 > 0:
             raise ValueError("layer thickness z0 must be positive")
-        if self.gamma21 < 0:
+        if not self.gamma21 >= 0:
             raise ValueError("gamma21 must be non-negative")
         if not self.Gamma31 > 0:
             raise ValueError("Gamma31 must be positive")
-        if np.any(np.asarray(self.Omega) < 0):
+        if not np.all(np.asarray(self.Omega) >= 0):
             raise ValueError("Omega must be non-negative")
         if not (self.k1s > 0 and self.k1c > 0):
             raise ValueError("k1s and k1c must be positive")
@@ -93,24 +95,6 @@ class LambdaMediumParams:
                 f"Gamma31 = {self.Gamma31:.3e}",
                 stacklevel=2,
             )
-
-    def _rates(self) -> tuple:
-        return (self.n, self.z0, self.gamma21, self.Gamma31, self.k1s, self.k1c, self.Ly)
-
-    def __eq__(self, other: object) -> bool:
-        """Field by field; an array ``Omega`` compares by :func:`numpy.array_equal`."""
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        if isinstance(self.Omega, np.ndarray) or isinstance(other.Omega, np.ndarray):
-            return self._rates() == other._rates() and np.array_equal(self.Omega, other.Omega)
-        return (self.Omega, *self._rates()) == (other.Omega, *other._rates())
-
-    def __hash__(self) -> int:
-        omega = self.Omega
-        if isinstance(omega, np.ndarray):  # hashed by contents, as equal arrays compare
-            omega = omega.item() if omega.ndim == 0 else (omega.shape, *omega.ravel().tolist())
-        n, z0, gamma21, gamma31, k1s, k1c, ly = self._rates()
-        return hash((n, z0, gamma21, gamma31, omega, k1s, k1c, ly))
 
 
 @dataclass(frozen=True)
@@ -289,8 +273,9 @@ def alpha_closed(p: LambdaMediumParams, alpha0: float, nu: float | np.ndarray) -
     om_sq = np.float_power(p.Omega, 2)
     nu = np.array(nu, dtype=float, ndmin=1)
     nu, om_sq = np.broadcast_arrays(nu, om_sq)
-    decay_s = math.exp(-2.0 * p.k1s * p.z0) if math.isfinite(p.z0) else 0.0
-    decay_c = math.exp(-2.0 * p.k1c * p.z0) if math.isfinite(p.z0) else 0.0
+    # k1s, k1c > 0, so a semi-infinite layer (z0 = inf) gives exp(-inf) = 0.
+    decay_s = math.exp(-2.0 * p.k1s * p.z0)
+    decay_c = math.exp(-2.0 * p.k1c * p.z0)
 
     off = om_sq < np.finfo(float).tiny
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -313,9 +298,9 @@ def alpha_quadrature(p: LambdaMediumParams, gsq_over_v0: float, nu: float) -> co
     """Layer absorption by direct adaptive quadrature of the z integral.
 
     ``gsq_over_v0`` is |g|^2/v0; the uniform-density y integral contributes
-    the factor Ly.  This is the independent oracle for :func:`alpha_closed`,
-    and the package's only user of scipy, imported here so that the closed
-    form and the CLI load numpy alone.
+    the factor Ly.  This is the independent oracle for :func:`alpha_closed`;
+    it needs scipy (a ``test`` extra, not a runtime dependency), imported
+    here so that the closed form and the CLI load numpy alone.
     """
     if np.ndim(p.Omega) != 0:
         raise ValueError("alpha_quadrature takes a scalar Omega")

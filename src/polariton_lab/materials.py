@@ -35,8 +35,8 @@ class DrudeParams:
     with a leading row axis: shape ``(n, 1)`` makes the pole a batch of ``n``
     poles, and an evaluation at ``m`` frequencies gives ``(n, m)`` values, row
     ``i`` bit-equal to the pole with the scalar rate ``loss_rate[i, 0]``.
-    Every element must be non-negative.  Only a scalar pole supports ``==``
-    and hashing.
+    Every element must be non-negative (NaN is not).  Only a scalar pole
+    supports ``==`` and hashing.
     """
 
     plasma_frequency: float
@@ -45,7 +45,7 @@ class DrudeParams:
     def __post_init__(self) -> None:
         if not self.plasma_frequency > 0:
             raise ValueError("plasma_frequency must be positive")
-        if np.any(np.asarray(self.loss_rate) < 0):
+        if not np.all(np.asarray(self.loss_rate) >= 0):
             raise ValueError("loss_rate must be non-negative")
 
 

@@ -54,11 +54,11 @@ class PropagationScenario:
     def __post_init__(self) -> None:
         if not self.delta_t > 0:
             raise ValueError("delta_t must be positive")
-        if np.any(np.asarray(self.x) < 0):
+        if not np.all(np.asarray(self.x) >= 0):
             raise ValueError("x must be non-negative")
         if not self.v0 > 0:
             raise ValueError("v0 must be positive")
-        if self.kappa31 < 0:
+        if not self.kappa31 >= 0:
             raise ValueError("kappa31 must be non-negative")
         n = self.n_nu
         if n < 1024 or (n & (n - 1)) != 0:

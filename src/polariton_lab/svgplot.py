@@ -15,17 +15,18 @@ import numpy as np
 _COLORS = ("#c0392b", "#2457a8", "#20803c", "#8e44ad", "#b8860b", "#16808c")
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 64.0, 16.0, 28.0, 44.0
 _WIDTH, _HEIGHT = 720, 480
+_N_TICKS = 5  # per axis
 
 
 def _fmt(v: float) -> str:
     return format(v, ".6g")
 
 
-def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
+def _ticks(lo: float, hi: float) -> list[float]:
     if hi <= lo:
         return [lo]
-    step = (hi - lo) / (n - 1)
-    return [lo + i * step for i in range(n)]
+    step = (hi - lo) / (_N_TICKS - 1)
+    return [lo + i * step for i in range(_N_TICKS)]
 
 
 def line_plot(

@@ -119,6 +119,44 @@ def test_run_time_failures_rejected_at_load(tmp_path, text, path, capsys):
     assert f"kind=config detail={path}:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "cmd, text, path",
+    [
+        ("eit-spectrum", "[eit]\nomega = nan\n", "eit.omega"),
+        ("eit-spectrum", "[eit]\nomega = 1e9, inf\n", "eit.omega"),
+        ("propagate", "[eit]\ngamma21 = nan\n", "eit.gamma21"),
+        ("eit-spectrum", "[eit]\nz0 = nan\n", "eit.z0"),
+        ("eit-spectrum", "[eit]\nz0 = -inf\n", "eit.z0"),
+        ("dispersion", "[band]\nkappa0 = inf\n", "band.kappa0"),
+        ("dispersion", "[materials]\nepsilon1 = nan\n", "materials.epsilon1"),
+        ("propagate", "[pulse]\nx = 1e-3, nan\n", "pulse.x"),
+        ("propagate", "[pulse]\nkappa31 = 1e400\n", "pulse.kappa31"),
+    ],
+    ids=lambda v: v.split("\n")[1].replace(" ", "") if "\n" in v else None,
+)
+def test_non_finite_value_rejected_with_path(tmp_path, cmd, text, path, capsys):
+    # "x < 0" style checks pass NaN: these used to run and write silent nonsense
+    bad = tmp_path / "bad.ini"
+    bad.write_text(text)
+    out = tmp_path / "o"
+    assert main([cmd, "--config", str(bad), "--out", str(out)]) == EXIT_CONFIG
+    assert f"kind=config detail={path}: not a finite number" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_semi_infinite_layer_is_the_one_non_finite_value(tmp_path):
+    cfg_file = tmp_path / "thick.ini"
+    cfg_file.write_text("[eit]\nz0 = inf\nn_nu = 11\n")
+    cfg = load_config(cfg_file)
+    out = tmp_path / "o"
+    assert main(["eit-spectrum", "--config", str(cfg_file), "--out", str(out)]) == EXIT_OK
+    table = np.array(read_csv(out / "eit_spectrum.csv")[1])
+    nus = np.linspace(-5e9, 5e9, 11)
+    want = alpha_closed(cfg.lambda_params(1e9), cfg["eit"]["alpha0"], nus).alpha * cfg["eit"]["x"]
+    assert np.all(np.isfinite(table)) and np.all(table[:, 2] > 0)
+    assert np.array_equal(table[:, 2], want.real)
+
+
 def test_io_failure_exit_code(tmp_path, small_config):
     blocker = tmp_path / "blocked"
     blocker.write_text("not a directory")
@@ -207,6 +245,20 @@ def test_lossmap_outputs(tmp_path, small_config):
     for ratio, x0, kmin in rows_t:
         if not math.isnan(x0):
             assert 0.3 < x0 < 0.5
+
+
+@pytest.mark.parametrize(
+    "n_gamma, plotted", [(1, [1e-5]), (2, [1e-5, 1.0]), (3, [1e-5, 10**-2.5, 1.0])]
+)
+def test_lossmap_plot_draws_each_ratio_once(tmp_path, n_gamma, plotted):
+    cfg = tmp_path / "lm.ini"
+    cfg.write_text(f"[band]\nn_points = 16\n[lossmap]\nn_gamma = {n_gamma}\n")
+    out = tmp_path / "lm"
+    assert main(["lossmap", "--config", str(cfg), "--out", str(out), "--plot"]) == EXIT_OK
+    svg = (out / "fig_lossmap.svg").read_text()
+    assert svg.count("<polyline") == len(plotted)
+    for ratio in plotted:
+        assert svg.count(f">gamma_m/gamma_e={ratio:.2g}<") == 1
 
 
 def test_eit_spectrum_matches_quadrature(tmp_path, small_config):

@@ -153,6 +153,12 @@ def test_invalid_parameters_rejected():
         HalfSpaceMaterial(1.3, 0.0)
 
 
+@pytest.mark.parametrize("rate", [np.nan, np.array([[1e13], [np.nan]])], ids=["scalar", "row"])
+def test_nan_loss_rate_rejected(rate):
+    with pytest.raises(ValueError, match="loss_rate must be non-negative"):
+        DrudeParams(1e15, rate)
+
+
 def test_dual_of_a_medium_with_small_constant_mu():
     # mu1 in (0, 1) is valid, so the dual medium's constant permittivity is too
     dual = swap_eps_mu(HalfSpaceMaterial(1.3, 0.5, "medium1"))

@@ -180,6 +180,16 @@ def test_scenario_validation():
         scenario(x=np.array([1e-3, 2e-3]), eit=LambdaMediumParams(Omega=np.array([1e9] * 3)))
 
 
+@pytest.mark.parametrize(
+    "kw",
+    [{"x": math.nan}, {"x": np.array([1e-3, math.nan])}, {"kappa31": math.nan}],
+    ids=["x", "x-element", "kappa31"],
+)
+def test_nan_distance_or_background_loss_rejected(kw):
+    with pytest.raises(ValueError, match="must be non-negative"):
+        scenario(**kw)
+
+
 def test_centroid_close_to_peak_for_symmetric_output():
     _, _, m = propagate_pulse(empty_layer())
     assert m.centroid_delay == pytest.approx(m.delay, rel=1e-3)
@@ -225,14 +235,32 @@ def test_passive_layer_never_amplifies_the_peak(x, kappa31, alpha0, omega_frac, 
     assert 0.0 < m.amp_ratio <= 1.0 + 1e-12
 
 
+def _aliased_alone(pair):
+    try:
+        propagate_pair(pair)
+    except NumericError:
+        return True
+    return False
+
+
 def _assert_grid_equals_per_pair_oracle(s):
-    t, env, m = propagate_pulse(s)
+    xs, omegas = np.broadcast_arrays(s.x, s.eit.Omega)
+    pairs = {
+        idx: replace(s, x=float(xs[idx]), eit=replace(s.eit, Omega=float(omegas[idx])))
+        for idx in np.ndindex(s.shape)
+    }
+    try:
+        t, env, m = propagate_pulse(s)
+    except NumericError as exc:
+        # an aliased grid fails where a pair fails alone, naming the first such pair
+        first = next((p for p in pairs.values() if _aliased_alone(p)), None)
+        assert first is not None, exc
+        assert f"(x = {first.x:.6g} m, Omega = {first.eit.Omega:.6g} rad/s)" in str(exc)
+        return
     assert env.shape == s.shape + (s.n_nu,)
     if not s.shape:
         assert all(type(getattr(m, name)) is float for name in vars(m))
-    xs, omegas = np.broadcast_arrays(s.x, s.eit.Omega)
-    for idx in np.ndindex(s.shape):
-        pair = replace(s, x=float(xs[idx]), eit=replace(s.eit, Omega=float(omegas[idx])))
+    for idx, pair in pairs.items():
         t1, env1, m1 = propagate_pair(pair)
         assert t.view(float).tobytes() == t1.view(float).tobytes()
         assert env[idx].view(float).tobytes() == env1.view(float).tobytes(), idx
@@ -256,6 +284,8 @@ _CONTROL_SWEEP = dict(xs=[1e-3, 3e-3], omegas=[0.5e9, 1e9, 2e9, 4e9], kappa31=10
     n_nu=st.just(1024),
 )
 @example(**_CONTROL_SWEEP)  # 2 x 4 x 4096 complex: 512 KiB, past numpy's in-place reuse
+@example(xs=[1e-3, 3e-3], omegas=[1e9, 0.5e9], kappa31=0.0, alpha0=3e7, b=1.0,
+         n_nu=1024)  # one aliased pair, (3e-3, 0.5e9)
 def test_grid_pulse_bit_equals_per_pair_oracle(xs, omegas, kappa31, alpha0, b, n_nu):
     # One pass over the (x, Omega) grid gives every pulse and metric that a
     # run of its pair alone gives, bit for bit.
