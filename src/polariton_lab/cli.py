@@ -71,14 +71,6 @@ def _band(cfg: ScenarioConfig) -> np.ndarray:
     )
 
 
-def _bound(cfg: ScenarioConfig, omegas: np.ndarray, pol: Polarization) -> np.ndarray:
-    """Bound flags of ``pol`` across the band; a degenerate interface binds nowhere."""
-    try:
-        return sp_wavevector(cfg.medium1, cfg.medium2, omegas, pol).bound
-    except NumericError:
-        return np.zeros(omegas.shape, dtype=bool)
-
-
 def cmd_dispersion(cfg: ScenarioConfig, out: Path, plot: bool) -> list[Path]:
     kappa0 = cfg["band"]["kappa0"]
     omegas = _band(cfg)
@@ -86,10 +78,12 @@ def cmd_dispersion(cfg: ScenarioConfig, out: Path, plot: bool) -> list[Path]:
     point = sp_wavevector(cfg.medium1, cfg.medium2, omegas, pol)
     v0 = np.full(omegas.shape, math.nan)
     v0[point.bound] = group_velocity(cfg.medium1, cfg.medium2, omegas[point.bound], pol)
-    bound_tm = point.bound if pol is Polarization.TM else _bound(cfg, omegas, Polarization.TM)
-    bound_te = point.bound if pol is Polarization.TE else _bound(cfg, omegas, Polarization.TE)
+    bound = [  # bound_TM, bound_TE; a polarization with no mode is bound nowhere
+        point.bound if p is pol else sp_wavevector(cfg.medium1, cfg.medium2, omegas, p).bound
+        for p in Polarization
+    ]
     columns = [omegas / cfg.omega_e, point.k_par, point.kappa, point.kappa / kappa0, v0]
-    table = np.column_stack(columns + [bound_tm, bound_te])
+    table = np.column_stack(columns + bound)
     header = [
         "omega_over_we[1]",
         "k_par[1/m]",

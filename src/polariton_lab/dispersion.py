@@ -14,7 +14,10 @@ with the decaying branch Re(kj) >= 0.  A point is *bound* when the field
 decays on both sides strictly and the unsquared matching condition
 k1*s2 + k2*s1 = 0 holds (s = eps for TM, mu for TE): squaring the matching
 condition introduces spurious roots with the wrong decay signature, and the
-residual check rejects them.
+residual check rejects them.  Where the denominator a2**2 - a1**2 vanishes
+(TE at a non-magnetic metal, or two equal media) the relation has no
+solution: the mode fields are NaN and the point is unbound, as an element of
+whatever array it sits in, so one array pass covers every frequency.
 
 Sign note: kappa is reported as computed from the chosen branch.  At a
 dielectric/negative-index interface the TM mode changes the sign of kappa
@@ -26,12 +29,12 @@ Loss-minimum searches therefore operate on |kappa|.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .errors import AbyssNotFoundError, NumericError
+from .errors import AbyssNotFoundError
 from .materials import DrudeParams, HalfSpaceMaterial, d_omega_material, eval_material
 
 C = 299792458.0  # speed of light in vacuum, m/s (exact)
@@ -110,19 +113,17 @@ def _by_polarization(pol: Polarization, e1, u1, e2, u2) -> tuple:
 def _interface(m1: HalfSpaceMaterial, m2: HalfSpaceMaterial, w: np.ndarray, pol: Polarization):
     """(a1, a2, b1, b2), a2**2 - a1**2 and the radicand at the frequencies ``w``.
 
-    A degenerate denominator at any frequency raises :class:`NumericError`.
+    Where the denominator a2**2 - a1**2 vanishes (to ``_DEGENERATE_TOL``) the
+    dispersion relation has no solution: the radicand is NaN there, without a
+    warning, so the point comes out unbound.
     """
     r1, r2 = eval_material(m1, w), eval_material(m2, w)
     a1, a2, b1, b2 = _by_polarization(pol, r1.epsilon, r1.mu, r2.epsilon, r2.mu)
     denom = a2 * a2 - a1 * a1
     degenerate = np.abs(denom) < _DEGENERATE_TOL * np.abs(a1) ** 2
-    if np.any(degenerate):
-        raise NumericError(
-            f"degenerate interface for {pol.value}: |a2^2 - a1^2| = "
-            f"{np.extract(degenerate, np.abs(denom))[0]:.3e} "
-            f"at omega = {np.extract(degenerate, np.broadcast_to(w, degenerate.shape))[0]:.6e}"
-        )
-    return (a1, a2, b1, b2), denom, a1 * a2 * (a2 * b1 - a1 * b2) / denom
+    with np.errstate(divide="ignore", invalid="ignore"):
+        radicand = np.where(degenerate, np.nan, a1 * a2 * (a2 * b1 - a1 * b2) / denom)
+    return (a1, a2, b1, b2), denom, radicand
 
 
 def _solve(m1: HalfSpaceMaterial, m2: HalfSpaceMaterial, w: np.ndarray, pol: Polarization):
@@ -158,9 +159,10 @@ def sp_wavevector(
     flagged ``bound=False`` rather than raising.  A batch of media (``(n, 1)``
     loss rates, see :class:`~polariton_lab.materials.DrudeParams`) gives
     mode fields of the broadcast shape, ``(n, m)`` for ``m`` frequencies, row
-    ``i`` bit-equal to a call with the medium of row ``i``.  A degenerate
-    denominator (a2**2 == a1**2 for the active polarization) at any requested
-    point raises :class:`NumericError`.
+    ``i`` bit-equal to a call with the medium of row ``i``.  Where the
+    denominator is degenerate (a2**2 == a1**2 for the active polarization)
+    there is no mode: that element has NaN mode fields and ``bound=False``,
+    and the other elements are solved as usual.
     """
     _, _, fields = _solve(m1, m2, _frequencies(omega), pol)
     return DispersionPoint(polarization=pol, **{n: _shaped(v, omega) for n, v in fields.items()})
@@ -172,16 +174,10 @@ def polarization_support(
     """Subset of {TM, TE} that is bound at ``omega``.
 
     A polarization whose dispersion formula is degenerate at this interface
-    (e.g. TE with equal constant permeabilities) is simply not supported.
+    (e.g. TE with equal constant permeabilities) has no mode, so it is not
+    in the set.
     """
-    supported = set()
-    for pol in Polarization:
-        try:
-            if sp_wavevector(m1, m2, omega, pol).bound:
-                supported.add(pol)
-        except NumericError:
-            continue
-    return supported
+    return {pol for pol in Polarization if sp_wavevector(m1, m2, omega, pol).bound}
 
 
 def group_velocity(
@@ -203,8 +199,11 @@ def group_velocity(
     """
     w = _frequencies(omega)
     ((a1, a2, b1, b2), denom, radicand), k, fields = _solve(m1, m2, w, pol)
-    if not np.all(fields["bound"]):
-        raise ValueError(f"no bound {pol.value} mode at omega = {omega!r}")
+    unbound = ~fields["bound"]
+    if unbound.any():
+        first = np.broadcast_to(w, unbound.shape)[unbound][0]
+        raise ValueError(f"no bound {pol.value} mode at omega = {first:.3g} "
+                         f"({np.count_nonzero(unbound)} of {unbound.size} points unbound)")
     da1, da2, db1, db2 = _by_polarization(pol, *d_omega_material(m1, w), *d_omega_material(m2, w))
     # R = N / denom with N = a1*a2**2*b1 - a1**2*a2*b2.
     d_radicand = (
@@ -262,22 +261,25 @@ def find_abyss(
     A coarse scan of ``n_grid >= 3`` points, solved as one array, brackets
     the minimum; each refinement step solves 33 points across the bracket as
     one array and narrows it to the neighbours of their minimum, down to a
-    relative width of 1e-9.  Where kappa changes sign there (a genuine
-    cancellation), a linear step lands on the root, and the floor
-    ``kappa_at_omega0`` is zero to rounding.  A coarse minimum on a band
-    edge means no interior minimum: :class:`AbyssNotFoundError`.  The
-    loss-interference residual at the minimizer is a diagnostic;
+    relative width of 1e-9.  A NaN kappa (a degenerate, unbound frequency,
+    see :func:`sp_wavevector`) is never the minimum.  Where kappa changes
+    sign there (a genuine cancellation), a linear step lands on the root,
+    and the floor ``kappa_at_omega0`` is zero to rounding.  A coarse minimum
+    on a band edge means no interior minimum: :class:`AbyssNotFoundError`.
+    The loss-interference residual at the minimizer is a diagnostic;
     ``is_cancellation`` is False when it exceeds 0.05 (a minimum exists but
     losses do not cancel there).
 
     A batch of media (``(n, 1)`` loss rates, see
     :class:`~polariton_lab.materials.DrudeParams`) is searched row by row in
     lockstep: the coarse scan is one ``(n, n_grid)`` solve, each refinement
-    step one solve over the rows still wider than 1e-9 (a row that is narrow
-    enough stops, so it takes exactly the steps it takes alone), and the root
-    step one solve over the rows where kappa changes sign.  The result holds
-    arrays, each row bit-equal to a search with the medium of that row, and
-    NaN in the rows with no interior minimum; nothing is raised for them.
+    step one ``(n, 33)`` solve of which only the rows with an interior
+    minimum that are still wider than 1e-9 take the new bracket (a row that
+    is narrow enough stops, so it takes exactly the steps it takes alone),
+    and the root step one solve whose value only the rows where kappa
+    changes sign take.  The result holds arrays, each row bit-equal to a
+    search with the medium of that row, and NaN in the rows with no interior
+    minimum; nothing is raised for them.
     """
     lo, hi = search_band
     if not (0 < lo < hi):
@@ -288,48 +290,45 @@ def find_abyss(
 
     grid = np.linspace(lo, hi, n_grid)
     kappa = sp_wavevector(m1, m2, grid, pol).kappa.reshape(-1, n_grid)
-    i = np.argmin(np.abs(kappa), axis=1)
-    found = np.flatnonzero((i > 0) & (i < n_grid - 1))
-    if batch is None and not found.size:
+    i = np.argmin(np.fmin(np.abs(kappa), np.inf), axis=1)  # NaN is never the minimum
+    found = (i > 0) & (i < n_grid - 1)
+    if batch is None and not found[0]:
         raise AbyssNotFoundError(
             f"no interior |kappa| minimum in [{lo:.6e}, {hi:.6e}] "
             f"(edge value {abs(kappa[0, i[0]]):.6e} 1/m)"
         )
 
-    # Row r of win_w, win_k: the minimum of found row r's latest scan
-    # (column 1) between its two neighbours, which are the bracket; at an
-    # end of the scan the neighbour is the minimum itself.
-    win_w, win_k = _window(np.broadcast_to(grid, kappa.shape)[found], kappa[found], i[found])
-    narrowing = np.arange(found.size)
+    # Row r of win_w, win_k: the minimum of row r's latest scan (column 1)
+    # between its two neighbours, which are the bracket; at an end of the
+    # scan the neighbour is the minimum itself.
+    win_w, win_k = _window(np.broadcast_to(grid, kappa.shape), kappa, i)
     while True:
         a, c = win_w[:, 0], win_w[:, 2]
-        narrowing = narrowing[c[narrowing] - a[narrowing] > _ABYSS_XTOL * win_w[narrowing, 1]]
-        if not narrowing.size:
+        narrowing = found & (c - a > _ABYSS_XTOL * win_w[:, 1])
+        if not narrowing.any():
             break
-        zoom = np.linspace(a[narrowing], c[narrowing], _ZOOM_POINTS, axis=-1)
-        rows = found[narrowing]
-        k = sp_wavevector(_take(m1, rows), _take(m2, rows), zoom, pol).kappa
-        win_w[narrowing], win_k[narrowing] = _window(zoom, k, np.argmin(np.abs(k), axis=1))
+        zoom = np.linspace(a, c, _ZOOM_POINTS, axis=-1)
+        k = sp_wavevector(m1, m2, zoom, pol).kappa
+        new_w, new_k = _window(zoom, k, np.argmin(np.fmin(np.abs(k), np.inf), axis=1))
+        win_w[narrowing], win_k[narrowing] = new_w[narrowing], new_k[narrowing]
 
     omega0, kappa0 = win_w[:, 1], win_k[:, 1]
     # A sign change of kappa next to the minimum: step to its root.  (A
     # neighbour clipped at a scan end is the minimum, and k * k < 0 is False.)
     left = win_k[:, 0] * kappa0 < 0
-    crossing = np.flatnonzero(left | (win_k[:, 2] * kappa0 < 0))
-    if crossing.size:
-        side = np.where(left[crossing], 0, 2)
-        w_i, k_i = omega0[crossing], kappa0[crossing]
-        w_j, k_j = win_w[crossing, side], win_k[crossing, side]
-        omega0[crossing] = w_i - k_i * (w_j - w_i) / (k_j - k_i)
-        rows = found[crossing]
-        root = sp_wavevector(_take(m1, rows), _take(m2, rows), omega0[crossing, None], pol)
-        kappa0[crossing] = root.kappa[:, 0]
-    media = _take(m1, found), _take(m2, found)
-    residual = loss_cancellation_residual(*media, omega0[:, None], pol)[:, 0]
+    crossing = found & (left | (win_k[:, 2] * kappa0 < 0))
+    if crossing.any():
+        w_j = np.where(left, win_w[:, 0], win_w[:, 2])
+        k_j = np.where(left, win_k[:, 0], win_k[:, 2])
+        step = np.divide(kappa0 * (w_j - omega0), k_j - kappa0, out=np.zeros_like(omega0),
+                         where=crossing)
+        omega0 = omega0 - step
+        root = sp_wavevector(m1, m2, omega0[:, None], pol).kappa[:, 0]
+        kappa0 = np.where(crossing, root, kappa0)
+    residual = loss_cancellation_residual(m1, m2, omega0[:, None], pol)[:, 0]
+    table = np.where(found, (omega0, kappa0, residual), np.nan)
     if batch is None:
-        return AbyssResult(float(omega0[0]), float(kappa0[0]), float(residual[0]))
-    table = np.full((3, batch), np.nan)
-    table[:, found] = omega0, kappa0, residual
+        return AbyssResult(*(float(v[0]) for v in table))
     return AbyssResult(*table)
 
 
@@ -344,17 +343,6 @@ def _batch_rows(*media: HalfSpaceMaterial) -> int | None:
     if len(shapes) > 1 or any(len(s) != 2 or s[1] != 1 for s in shapes):
         raise ValueError(f"a batch of media needs loss rates of one shape (n, 1), got {shapes}")
     return shapes.pop()[0] if shapes else None
-
-
-def _take(m: HalfSpaceMaterial, rows: np.ndarray) -> HalfSpaceMaterial:
-    """Rows ``rows`` of a batch of media; scalar media as they are."""
-
-    def cut(model):
-        if isinstance(model, DrudeParams) and np.ndim(model.loss_rate):
-            return replace(model, loss_rate=model.loss_rate[rows])
-        return model
-
-    return replace(m, epsilon_model=cut(m.epsilon_model), mu_model=cut(m.mu_model))
 
 
 def _window(w: np.ndarray, k: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

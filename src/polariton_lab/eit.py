@@ -304,7 +304,12 @@ def alpha_quadrature(p: LambdaMediumParams, gsq_over_v0: float, nu: float) -> co
     """
     if np.ndim(p.Omega) != 0:
         raise ValueError("alpha_quadrature takes a scalar Omega")
-    from scipy.integrate import IntegrationWarning, quad
+    try:
+        from scipy.integrate import IntegrationWarning, quad
+    except ImportError as exc:
+        raise ImportError(
+            "alpha_quadrature needs scipy: pip install polariton-lab[test]"
+        ) from exc
 
     if p.n == 0.0 or gsq_over_v0 == 0.0:
         return 0j

@@ -77,7 +77,6 @@ class MaterialResponse:
 
     epsilon: complex | np.ndarray
     mu: complex | np.ndarray
-    omega: float | np.ndarray
 
 
 def _check_omega(omega) -> None:
@@ -104,7 +103,6 @@ def eval_material(m: HalfSpaceMaterial, omega) -> MaterialResponse:
     return MaterialResponse(
         epsilon=_eval_one(m.epsilon_model, omega),
         mu=_eval_one(m.mu_model, omega),
-        omega=omega,
     )
 
 

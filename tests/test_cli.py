@@ -356,6 +356,26 @@ def test_te_propagate_follows_the_energy_flow(tmp_path):
     assert rows[0][2] == pytest.approx(2.0, rel=0.01)  # delay/dt at 1 mm
 
 
+@pytest.mark.filterwarnings("error")
+def test_te_dispersion_on_a_non_magnetic_metal_has_no_mode(tmp_path):
+    # mu1 = mu2 = 1: the TE relation is degenerate at every frequency, so
+    # the TE run writes NaN mode columns and binds nowhere instead of failing
+    tables = {}
+    for pol in ("TE", "TM"):
+        cfg = tmp_path / f"{pol}.ini"
+        cfg.write_text(
+            f"[materials]\npreset2 = silver\n\n[band]\npolarization = {pol}\nn_points = 64\n"
+        )
+        out = tmp_path / pol
+        assert main(["dispersion", "--config", str(cfg), "--out", str(out), "--plot"]) == EXIT_OK
+        tables[pol] = np.array(read_csv(out / "dispersion.csv")[1])
+    te, tm = tables["TE"], tables["TM"]
+    assert te.shape == (64, 7)
+    assert np.isnan(te[:, 1:5]).all()  # k_par, kappa, kappa_over_kappa0, v0
+    assert (te[:, 6] == 0).all()
+    assert te[:, 5].tolist() == tm[:, 5].tolist() and tm[:, 5].any()
+
+
 def test_eit_spectrum_needs_no_bound_mode_at_the_carrier(tmp_path):
     # no TM mode binds at omega31 = 0.2 omega_e; eit-spectrum has no use for
     # the carrier's group velocity, so it runs and writes the default rows

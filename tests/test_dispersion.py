@@ -139,13 +139,53 @@ def test_polarization_support_cases():
     assert both == {Polarization.TM, Polarization.TE}
 
 
-def test_degenerate_interface_raises():
+@pytest.mark.filterwarnings("error")
+def test_degenerate_interface_has_no_mode():
     vac1 = HalfSpaceMaterial(1.0, 1.0)
     vac2 = HalfSpaceMaterial(1.0, 1.0)
-    with pytest.raises(NumericError):
-        sp_wavevector(vac1, vac2, 0.4 * WE)
-    # polarization_support swallows the degeneracy: empty set is valid
+    dp = sp_wavevector(vac1, vac2, 0.4 * WE)
+    assert math.isnan(dp.k_par) and math.isnan(dp.kappa)
+    assert dp.bound is False
     assert polarization_support(vac1, vac2, 0.4 * WE) == set()
+
+
+# A lossless magnetic pole: mu2 = -1 = -mu1 at WS, so TE is degenerate there.
+MAGNETIC_POLE = HalfSpaceMaterial(DrudeParams(WE, 2.73e13), DrudeParams(0.5 * WE, 0.0))
+WS = 0.5 * WE / math.sqrt(2.0)
+
+
+@pytest.mark.filterwarnings("error")
+def test_degenerate_element_is_the_only_unbound_one():
+    m1 = HalfSpaceMaterial(1.3, 1.0)
+    omegas = np.array([1.1 * WS, WS, 0.45 * WE, 0.49 * WE])
+    band = sp_wavevector(m1, MAGNETIC_POLE, omegas, Polarization.TE)
+    assert band.bound.tolist() == [True, False, True, True]
+    assert np.isnan(band.kappa).tolist() == [False, True, False, False]
+    for i in (0, 2, 3):
+        one = sp_wavevector(m1, MAGNETIC_POLE, float(omegas[i]), Polarization.TE)
+        assert band.k_parallel[i] == one.k_parallel
+
+
+@pytest.mark.filterwarnings("error")
+def test_abyss_search_steps_over_a_degenerate_scan_point():
+    # The first point of the coarse scan is degenerate, and its NaN is never
+    # the minimum; starting the band just above it finds the same minimum.
+    m1 = HalfSpaceMaterial(1.3, 1.0)
+    got = find_abyss(m1, MAGNETIC_POLE, (WS, 0.6 * WE), Polarization.TE)
+    ref = find_abyss(m1, MAGNETIC_POLE, (1.001 * WS, 0.6 * WE), Polarization.TE)
+    assert WS < got.omega0 < 0.6 * WE and math.isfinite(got.kappa_at_omega0)
+    assert abs(got.omega0 - ref.omega0) <= 1e-9 * ref.omega0
+
+
+def test_group_velocity_error_names_the_first_unbound_point():
+    omegas = np.linspace(0.05, 0.95, 512) * WE
+    unbound = ~sp_wavevector(dielectric(), nimm(), omegas).bound
+    with pytest.raises(ValueError) as err:
+        group_velocity(dielectric(), nimm(), omegas)
+    message = str(err.value)
+    assert len(message) < 120
+    assert f"omega = {omegas[unbound][0]:.3g} " in message
+    assert f"({np.count_nonzero(unbound)} of 512 points unbound)" in message
 
 
 def test_group_velocity_step_halving_consistency():
@@ -319,18 +359,16 @@ _MEDIUM2 = st.one_of(
 def test_array_wavevector_equals_scalar_calls(eps1, m2, pol, xs):
     m1 = dielectric(eps1)
     omegas = np.array(xs) * WE
-    try:
-        band = sp_wavevector(m1, m2, omegas, pol)
-    except NumericError:
-        # A degenerate frequency rejects the whole array, so a scalar call
-        # at that frequency must reject it too.
-        with pytest.raises(NumericError):
-            for w in omegas:
-                sp_wavevector(m1, m2, float(w), pol)
-        return
+    band = sp_wavevector(m1, m2, omegas, pol)
     assert band.k_par.shape == omegas.shape
     for i, w in enumerate(omegas):
         dp = sp_wavevector(m1, m2, float(w), pol)
+        # A degenerate frequency is NaN in the array exactly where it is
+        # NaN in the scalar call.
+        assert math.isnan(band.kappa[i]) == math.isnan(dp.kappa)
+        if math.isnan(dp.kappa):
+            assert not band.bound[i] and not dp.bound
+            continue
         pairs = ((band.k_parallel[i], dp.k_parallel), (band.k1[i], dp.k1), (band.k2[i], dp.k2))
         for got, want in pairs:
             assert abs(got - want) <= 1e-12 * abs(want)

@@ -1,6 +1,7 @@
 """Layer absorption: closed form vs direct quadrature, limits, scalings."""
 
 import math
+import sys
 import warnings
 from pathlib import Path
 
@@ -394,3 +395,9 @@ def test_passivity_over_random_layers(p):
     alpha0 = 1e7
     resp = alpha_closed(p, alpha0, np.linspace(-40 * p.Gamma31, 40 * p.Gamma31, 161))
     assert np.all(resp.alpha.real >= -1e-12 * alpha0)
+
+
+def test_alpha_quadrature_without_scipy_names_the_extra(monkeypatch):
+    monkeypatch.setitem(sys.modules, "scipy.integrate", None)
+    with pytest.raises(ImportError, match=r"pip install polariton-lab\[test\]"):
+        alpha_quadrature(params(), gsq_over_v0_for(params(), 1e7), 0.0)

@@ -7,7 +7,6 @@ import mpmath as mp
 import pytest
 
 from polariton_lab.dispersion import Polarization, sp_wavevector
-from polariton_lab.errors import NumericError
 from polariton_lab.materials import (
     OMEGA_E_SILVER,
     DrudeParams,
@@ -67,8 +66,10 @@ def test_te_point_rejected():
 
 def test_degenerate_symmetric_interface_has_no_mode():
     same = HalfSpaceMaterial(1.3, 1.0)
-    with pytest.raises(NumericError):
-        sp_wavevector(same, same, 0.4 * WE)
+    dp = sp_wavevector(same, same, 0.4 * WE)
+    assert not dp.bound
+    with pytest.raises(ValueError, match="bound"):
+        mode_normalization(same, same, dp, 2.5e-6)
 
 
 def test_normalization_matches_finite_difference_oracle():
