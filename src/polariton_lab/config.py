@@ -2,10 +2,12 @@
 
 Every key has a default reproducing the reference low-loss scenario, so an
 empty file (or no file) is a valid configuration.  Unknown sections or keys
-are rejected; value errors (a non-finite float among them) are reported with
-their ``section.key`` path; the physical invariants of the objects a
-configuration builds are re-validated at load time.  A canonical hash of the
-fully resolved configuration is embedded in output footers for provenance.
+are rejected.  Each key's kind, default and admissible values live in one
+place, :data:`SCHEMA`; a value that is not of its kind, not finite (only
+``eit.z0`` may be inf) or breaks its key's rule is rejected as
+``section.key: <reason>`` (the CLI exits 2), and :func:`_validate` holds the
+few rules that tie two keys together.  A canonical hash of the fully resolved
+configuration is embedded in output footers for provenance.
 """
 
 from __future__ import annotations
@@ -13,9 +15,9 @@ from __future__ import annotations
 import configparser
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -34,57 +36,73 @@ from .materials import (
 
 _FLOAT, _INT, _STR, _BOOL, _FLOATLIST = "float", "int", "str", "bool", "floatlist"
 
-SCHEMA: dict[str, dict[str, tuple[str, Any]]] = {
+# A rule is what a value must be, as text for the error, and its predicate;
+# a list value must satisfy it element by element.
+Rule = tuple[str, Callable[[Any], bool]]
+_POSITIVE: Rule = ("positive", lambda v: v > 0)
+_NON_NEGATIVE: Rule = ("non-negative", lambda v: v >= 0)
+
+
+def _at_least(n: int) -> Rule:
+    return (f"at least {n}", lambda v: v >= n)
+
+
+def _one_of(*names: str) -> Rule:
+    return (f"one of {', '.join(names)}", lambda v: v in names)
+
+
+# section -> key -> (kind, default, rule or None)
+SCHEMA: dict[str, dict[str, tuple[str, Any, Rule | None]]] = {
     "materials": {
-        "epsilon1": (_FLOAT, 1.3),
-        "mu1": (_FLOAT, 1.0),
-        "preset2": (_STR, "nimm-default"),  # silver | nimm-default | custom
-        "omega_e": (_FLOAT, OMEGA_E_SILVER),
-        "gamma_e": (_FLOAT, GAMMA_E_SILVER),
-        "magnetic": (_STR, "drude"),  # drude | constant (custom preset only)
-        "omega_m": (_FLOAT, 0.5 * OMEGA_E_SILVER),
-        "gamma_m": (_FLOAT, 1e11),
-        "mu2": (_FLOAT, 1.0),
+        "epsilon1": (_FLOAT, 1.3, _POSITIVE),
+        "mu1": (_FLOAT, 1.0, _POSITIVE),
+        "preset2": (_STR, "nimm-default", _one_of("silver", "nimm-default", "custom")),
+        "omega_e": (_FLOAT, OMEGA_E_SILVER, _POSITIVE),
+        "gamma_e": (_FLOAT, GAMMA_E_SILVER, _NON_NEGATIVE),
+        "magnetic": (_STR, "drude", _one_of("drude", "constant")),  # custom preset only
+        "omega_m": (_FLOAT, 0.5 * OMEGA_E_SILVER, _POSITIVE),
+        "gamma_m": (_FLOAT, 1e11, _NON_NEGATIVE),
+        "mu2": (_FLOAT, 1.0, _POSITIVE),
     },
     "band": {
-        "omega_min_over_we": (_FLOAT, 0.3),
-        "omega_max_over_we": (_FLOAT, 0.5),
-        "n_points": (_INT, 512),
-        "polarization": (_STR, "TM"),
-        "kappa0": (_FLOAT, 1e4),
+        "omega_min_over_we": (_FLOAT, 0.3, _POSITIVE),
+        "omega_max_over_we": (_FLOAT, 0.5, _POSITIVE),
+        "n_points": (_INT, 512, _at_least(2)),
+        "polarization": (_STR, "TM", _one_of("TM", "TE")),
+        "kappa0": (_FLOAT, 1e4, _POSITIVE),
     },
     "lossmap": {
-        "gamma_ratio_min": (_FLOAT, 1e-5),
-        "gamma_ratio_max": (_FLOAT, 1.0),
-        "n_gamma": (_INT, 13),
+        "gamma_ratio_min": (_FLOAT, 1e-5, _POSITIVE),
+        "gamma_ratio_max": (_FLOAT, 1.0, _POSITIVE),
+        "n_gamma": (_INT, 13, _at_least(1)),
     },
     "eit": {
-        "n": (_FLOAT, 1e24),
-        "z0": (_FLOAT, 1e-8),
-        "gamma21": (_FLOAT, 1e3),
-        "gamma31_linewidth": (_FLOAT, 1e9),
-        "k1s": (_FLOAT, 1e6),
-        "k1c": (_FLOAT, 1e6),
-        "ly": (_FLOAT, 2.5e-6),
-        "alpha0": (_FLOAT, 1e7),
-        "alpha0_from_mode": (_BOOL, False),
-        "omega": (_FLOATLIST, (1e9,)),
-        "x": (_FLOAT, 1e-3),
-        "nu_span_over_gamma31": (_FLOAT, 5.0),
-        "n_nu": (_INT, 201),
+        "n": (_FLOAT, 1e24, _NON_NEGATIVE),
+        "z0": (_FLOAT, 1e-8, _POSITIVE),
+        "gamma21": (_FLOAT, 1e3, _NON_NEGATIVE),
+        "gamma31_linewidth": (_FLOAT, 1e9, _POSITIVE),
+        "k1s": (_FLOAT, 1e6, _POSITIVE),
+        "k1c": (_FLOAT, 1e6, _POSITIVE),
+        "ly": (_FLOAT, 2.5e-6, _POSITIVE),
+        "alpha0": (_FLOAT, 1e7, _NON_NEGATIVE),
+        "alpha0_from_mode": (_BOOL, False, None),
+        "omega": (_FLOATLIST, (1e9,), _NON_NEGATIVE),
+        "x": (_FLOAT, 1e-3, _POSITIVE),
+        "nu_span_over_gamma31": (_FLOAT, 5.0, _POSITIVE),
+        "n_nu": (_INT, 201, _at_least(2)),
     },
     "pulse": {
-        "delta_t": (_FLOAT, 1e-7),
-        "x": (_FLOATLIST, (1e-3, 3e-3)),
-        "omega": (_FLOATLIST, (1e9,)),
-        "kappa31": (_FLOAT, 1e2),
-        "v0": (_FLOAT, 0.0),  # 0 = derive from the interface dispersion
-        "omega31_over_we": (_FLOAT, 0.4092),
-        "n_nu": (_INT, 4096),
-        "nu_span_factor": (_FLOAT, 40.0),
+        "delta_t": (_FLOAT, 1e-7, _POSITIVE),
+        "x": (_FLOATLIST, (1e-3, 3e-3), _POSITIVE),
+        "omega": (_FLOATLIST, (1e9,), _POSITIVE),
+        "kappa31": (_FLOAT, 1e2, _NON_NEGATIVE),
+        "v0": (_FLOAT, 0.0, _NON_NEGATIVE),  # 0 = derive from the interface dispersion
+        "omega31_over_we": (_FLOAT, 0.4092, _POSITIVE),
+        "n_nu": (_INT, 4096, ("a power of two >= 1024", lambda v: v >= 1024 and not v & (v - 1))),
+        "nu_span_factor": (_FLOAT, 40.0, _at_least(10)),
     },
     "output": {
-        "directory": (_STR, "out"),
+        "directory": (_STR, "out", None),
     },
 }
 
@@ -128,27 +146,30 @@ def _finite(raw: str, path: str) -> float:
     return value
 
 
-def _parse_value(kind: str, raw: str, path: str) -> Any:
+def _parse_value(kind: str, raw: str, path: str, rule: Rule | None) -> Any:
+    """``raw`` as a value of ``kind`` that satisfies ``rule`` (a list: every element)."""
     try:
         if kind == _FLOAT:
-            return _finite(raw, path)
-        if kind == _INT:
-            return int(raw)
-        if kind == _BOOL:
+            value = _finite(raw, path)
+        elif kind == _INT:
+            value = int(raw)
+        elif kind == _BOOL:
             lowered = raw.strip().lower()
-            if lowered in ("true", "yes", "on", "1"):
-                return True
-            if lowered in ("false", "no", "off", "0"):
-                return False
-            raise ValueError(f"not a boolean: {raw!r}")
-        if kind == _FLOATLIST:
+            if lowered not in ("true", "yes", "on", "1", "false", "no", "off", "0"):
+                raise ValueError(f"not a boolean: {raw!r}")
+            value = lowered in ("true", "yes", "on", "1")
+        elif kind == _FLOATLIST:
             items = [s for s in (part.strip() for part in raw.split(",")) if s]
             if not items:
                 raise ValueError("empty list")
-            return tuple(_finite(s, path) for s in items)
-        return raw.strip()
+            value = tuple(_finite(s, path) for s in items)
+        else:
+            value = raw.strip()
+        if rule is not None and not all(map(rule[1], value if kind == _FLOATLIST else (value,))):
+            raise ValueError(f"must be {rule[0]}")
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from None
+    return value
 
 
 def _canonical(value: Any) -> str:
@@ -170,75 +191,26 @@ def _hash(values: dict[str, dict[str, Any]]) -> str:
 
 
 def _build_medium2(m: dict[str, Any]) -> HalfSpaceMaterial:
-    preset2 = m["preset2"]
-    if preset2 == "silver":
+    if m["preset2"] == "silver":
         return silver()
-    if preset2 == "nimm-default":
+    if m["preset2"] == "nimm-default":
         return nimm(gamma_m=m["gamma_m"], omega_m=m["omega_m"])
-    if preset2 == "custom":
-        eps = DrudeParams(m["omega_e"], m["gamma_e"])
-        if m["magnetic"] == "drude":
-            return HalfSpaceMaterial(eps, DrudeParams(m["omega_m"], m["gamma_m"]), "custom")
-        if m["magnetic"] == "constant":
-            return HalfSpaceMaterial(eps, m["mu2"], "custom")
-        raise ConfigError(f"materials.magnetic: must be drude or constant, got {m['magnetic']!r}")
-    raise ConfigError(
-        f"materials.preset2: must be silver, nimm-default or custom, got {preset2!r}"
-    )
+    eps = DrudeParams(m["omega_e"], m["gamma_e"])
+    if m["magnetic"] == "drude":
+        return HalfSpaceMaterial(eps, DrudeParams(m["omega_m"], m["gamma_m"]), "custom")
+    return HalfSpaceMaterial(eps, m["mu2"], "custom")
 
 
 def _validate(values: dict[str, dict[str, Any]]) -> None:
+    """The rules that tie two keys together; each key's own rule is in SCHEMA."""
     band = values["band"]
-    if not (0 < band["omega_min_over_we"] < band["omega_max_over_we"]):
-        raise ConfigError("band: need 0 < omega_min_over_we < omega_max_over_we")
-    if band["n_points"] < 2:
-        raise ConfigError("band.n_points: grid needs at least 2 points")
-    if band["polarization"] not in ("TM", "TE"):
-        raise ConfigError(f"band.polarization: must be TM or TE, got {band['polarization']!r}")
-    if not band["kappa0"] > 0:
-        raise ConfigError("band.kappa0: must be positive")
-
+    if not band["omega_min_over_we"] < band["omega_max_over_we"]:
+        raise ConfigError("band: need omega_min_over_we < omega_max_over_we")
     lm = values["lossmap"]
-    if not (0 < lm["gamma_ratio_min"] <= lm["gamma_ratio_max"]):
-        raise ConfigError("lossmap: need 0 < gamma_ratio_min <= gamma_ratio_max")
-    if lm["n_gamma"] < 1:
-        raise ConfigError("lossmap.n_gamma: must be at least 1")
-
-    eit = values["eit"]
-    if eit["n_nu"] < 2:
-        raise ConfigError("eit.n_nu: grid needs at least 2 points")
-    if not eit["nu_span_over_gamma31"] > 0:
-        raise ConfigError("eit.nu_span_over_gamma31: must be positive")
-    if eit["alpha0"] < 0:
-        raise ConfigError("eit.alpha0: must be non-negative")
-    if not eit["x"] > 0:
-        raise ConfigError("eit.x: must be positive")
-    for om in eit["omega"]:
-        if om < 0:
-            raise ConfigError("eit.omega: control amplitudes must be non-negative")
-    if eit["alpha0_from_mode"] and band["polarization"] == "TE":
+    if not lm["gamma_ratio_min"] <= lm["gamma_ratio_max"]:
+        raise ConfigError("lossmap: need gamma_ratio_min <= gamma_ratio_max")
+    if values["eit"]["alpha0_from_mode"] and band["polarization"] == "TE":
         raise ConfigError("eit.alpha0_from_mode: the mode normalization is TM-only")
-
-    pulse = values["pulse"]
-    if not pulse["delta_t"] > 0:
-        raise ConfigError("pulse.delta_t: must be positive")
-    if not pulse["omega31_over_we"] > 0:
-        raise ConfigError("pulse.omega31_over_we: must be positive")
-    if pulse["kappa31"] < 0:
-        raise ConfigError("pulse.kappa31: must be non-negative")
-    if pulse["v0"] < 0:
-        raise ConfigError("pulse.v0: must be non-negative (0 derives it)")
-    n_nu = pulse["n_nu"]
-    if n_nu < 1024 or n_nu & (n_nu - 1):
-        raise ConfigError("pulse.n_nu: must be a power of two >= 1024")
-    if not pulse["nu_span_factor"] >= 10.0:
-        raise ConfigError("pulse.nu_span_factor: must be >= 10 to cover the pulse spectrum")
-    for x in pulse["x"]:
-        if not x > 0:
-            raise ConfigError("pulse.x: distances must be positive")
-    for om in pulse["omega"]:
-        if not om > 0:
-            raise ConfigError("pulse.omega: control amplitudes must be positive")
 
 
 def load_config(path: str | Path | None) -> ScenarioConfig:
@@ -255,32 +227,26 @@ def load_config(path: str | Path | None) -> ScenarioConfig:
         except (configparser.Error, UnicodeDecodeError) as exc:
             raise ConfigError(f"{path}: {exc}") from None
 
-    values: dict[str, dict[str, Any]] = {}
-    for section, keys in SCHEMA.items():
-        values[section] = {key: default for key, (_, default) in keys.items()}
-
+    values = {
+        section: {key: default for key, (_, default, _) in keys.items()}
+        for section, keys in SCHEMA.items()
+    }
     for section in parser.sections():
         if section not in SCHEMA:
             raise ConfigError(f"{section}: unknown section")
         for key, raw in parser.items(section):
             if key not in SCHEMA[section]:
                 raise ConfigError(f"{section}.{key}: unknown key")
-            kind, _ = SCHEMA[section][key]
-            values[section][key] = _parse_value(kind, raw, f"{section}.{key}")
-
+            kind, _, rule = SCHEMA[section][key]
+            values[section][key] = _parse_value(kind, raw, f"{section}.{key}", rule)
     _validate(values)
 
     m = values["materials"]
-    try:
-        medium1 = HalfSpaceMaterial(m["epsilon1"], m["mu1"], "medium1")
-        medium2 = _build_medium2(m)
-        if isinstance(medium2.epsilon_model, DrudeParams):
-            omega_e = medium2.epsilon_model.plasma_frequency
-        else:
-            omega_e = m["omega_e"]
-        cfg = ScenarioConfig(values, medium1, medium2, omega_e, _hash(values))
-        # Re-validate the EIT invariants by building the parameter object once.
-        cfg.lambda_params(np.array(values["eit"]["omega"]))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    return cfg
+    medium2 = _build_medium2(m)
+    return ScenarioConfig(
+        values,
+        HalfSpaceMaterial(m["epsilon1"], m["mu1"], "medium1"),
+        medium2,
+        medium2.epsilon_model.plasma_frequency,
+        _hash(values),
+    )

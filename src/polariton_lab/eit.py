@@ -93,7 +93,7 @@ class LambdaMediumParams:
             warnings.warn(
                 f"gamma21 = {self.gamma21:.3e} is not small against "
                 f"Gamma31 = {self.Gamma31:.3e}",
-                stacklevel=2,
+                stacklevel=3,
             )
 
 

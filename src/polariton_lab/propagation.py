@@ -69,7 +69,7 @@ class PropagationScenario:
         if self.kappa31 > 0 and x_max > 10.0 / self.kappa31:
             warnings.warn(
                 f"x = {x_max:.3e} m exceeds ten background decay lengths",
-                stacklevel=2,
+                stacklevel=3,
             )
         self.shape  # x and Omega must broadcast
 

@@ -41,8 +41,9 @@ def line_plot(
 
     Each curve is (x values, y values, label), the values as sequences or
     arrays of equal length (:class:`ValueError` otherwise).  Non-finite
-    samples are dropped from the display; with ``logy`` the y axis is log10
-    and non-positive samples are dropped too.
+    samples are dropped from the display; with ``logy`` the y axis is log10,
+    non-positive samples are dropped too, and each tick is labelled with its
+    value, not its exponent.
     """
     display = []
     for cx, cy, label in curves:
@@ -103,7 +104,7 @@ def line_plot(
         )
     for yv in _ticks(y_lo, y_hi):
         py = sy(yv)
-        label = f"1e{_fmt(yv)}" if logy else _fmt(yv)
+        label = _fmt(10**yv) if logy else _fmt(yv)
         parts.append(
             f'<line x1="{_fmt(_MARGIN_L - 5)}" y1="{_fmt(py)}" x2="{_fmt(_MARGIN_L)}" '
             f'y2="{_fmt(py)}" stroke="black" stroke-width="1"/>'

@@ -2,10 +2,11 @@
 
 Kept as the oracle of the batched ``find_abyss`` and of ``lossmap``: the
 search is the scalar zoom loop, one medium at a time, and the map is built
-one decoherence ratio at a time.  The only change from that code is the
-residual, which takes ``omega0`` as a one-element array: the batched search
+one decoherence ratio at a time.  The changes from that code: the residual
+takes ``omega0`` as a one-element array, because the batched search
 evaluates it in numpy's array arithmetic, whose complex division does not
-round as Python's does.
+round as Python's does; and a NaN ``kappa`` (a degenerate point) is never
+the minimum, the batched search's rule.
 """
 
 import math
@@ -29,7 +30,7 @@ def find_abyss_per_row(m1, m2, search_band, pol, n_grid=512):
     lo, hi = search_band
     grid = np.linspace(lo, hi, n_grid)
     kappa = sp_wavevector(m1, m2, grid, pol).kappa
-    i = int(np.argmin(np.abs(kappa)))
+    i = int(np.argmin(np.fmin(np.abs(kappa), np.inf)))
     if i == 0 or i == n_grid - 1:
         raise AbyssNotFoundError("no interior minimum")
 
@@ -40,7 +41,7 @@ def find_abyss_per_row(m1, m2, search_band, pol, n_grid=512):
         steps += 1
         grid = np.linspace(a, c, _ZOOM_POINTS)
         kappa = sp_wavevector(m1, m2, grid, pol).kappa
-        i = int(np.argmin(np.abs(kappa)))
+        i = int(np.argmin(np.fmin(np.abs(kappa), np.inf)))
         omega0, kappa0 = float(grid[i]), float(kappa[i])
         a, c = grid[max(i - 1, 0)], grid[min(i + 1, _ZOOM_POINTS - 1)]
     for j in (i - 1, i + 1):  # a sign change of kappa: step to its root

@@ -1,5 +1,6 @@
 """Command-line front end: validation, determinism, round-trip, exit codes."""
 
+import configparser
 import math
 from pathlib import Path
 
@@ -10,7 +11,7 @@ from _abyss_oracle import lossmap_tables
 
 from polariton_lab import __version__, cli
 from polariton_lab.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, main
-from polariton_lab.config import load_config
+from polariton_lab.config import SCHEMA, load_config
 from polariton_lab.csvio import read_csv, round_trip_ok, write_csv
 from polariton_lab.dispersion import Polarization, sp_wavevector
 from polariton_lab.eit import alpha_closed, alpha_quadrature
@@ -142,6 +143,100 @@ def test_non_finite_value_rejected_with_path(tmp_path, cmd, text, path, capsys):
     assert main([cmd, "--config", str(bad), "--out", str(out)]) == EXIT_CONFIG
     assert f"kind=config detail={path}: not a finite number" in capsys.readouterr().err
     assert not out.exists()
+
+
+# One value per ruled SCHEMA key that breaks that key's rule.
+_VIOLATIONS = {
+    "materials.epsilon1": "0",
+    "materials.mu1": "-1",
+    "materials.preset2": "nimm",
+    "materials.omega_e": "0",
+    "materials.gamma_e": "-1",
+    "materials.magnetic": "lorentz",
+    "materials.omega_m": "0",
+    "materials.gamma_m": "-1",
+    "materials.mu2": "-1",
+    "band.omega_min_over_we": "0",
+    "band.omega_max_over_we": "-0.5",
+    "band.n_points": "1",
+    "band.polarization": "TEM",
+    "band.kappa0": "0",
+    "lossmap.gamma_ratio_min": "0",
+    "lossmap.gamma_ratio_max": "-1",
+    "lossmap.n_gamma": "0",
+    "eit.n": "-1",
+    "eit.z0": "0",
+    "eit.gamma21": "-1e-3",
+    "eit.gamma31_linewidth": "0",
+    "eit.k1s": "0",
+    "eit.k1c": "-1e6",
+    "eit.ly": "0",
+    "eit.alpha0": "-1",
+    "eit.omega": "1e9, -1",
+    "eit.x": "0",
+    "eit.nu_span_over_gamma31": "0",
+    "eit.n_nu": "1",
+    "pulse.delta_t": "0",
+    "pulse.x": "1e-3, 0",
+    "pulse.omega": "0",
+    "pulse.kappa31": "-1",
+    "pulse.v0": "-1",
+    "pulse.omega31_over_we": "0",
+    "pulse.n_nu": "1536",
+    "pulse.nu_span_factor": "9.99",
+}
+
+
+def test_every_ruled_key_has_a_violation():
+    ruled = {f"{s}.{k}" for s, keys in SCHEMA.items() for k, (_, _, rule) in keys.items() if rule}
+    assert set(_VIOLATIONS) == ruled
+
+
+@pytest.mark.parametrize("path, raw", sorted(_VIOLATIONS.items()))
+def test_rule_violation_is_a_config_error_naming_its_key(tmp_path, capsys, path, raw):
+    section, key = path.split(".")
+    bad = tmp_path / "bad.ini"
+    bad.write_text(f"[{section}]\n{key} = {raw}\n")
+    out = tmp_path / "o"
+    assert main(["dispersion", "--config", str(bad), "--out", str(out)]) == EXIT_CONFIG
+    text, _ = SCHEMA[section][key][2]
+    assert f"kind=config detail={path}: must be {text}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_every_default_satisfies_its_rule():
+    for section, keys in SCHEMA.items():
+        for key, (_, default, rule) in keys.items():
+            if rule is not None:
+                _, ok = rule
+                assert all(map(ok, default if isinstance(default, tuple) else (default,))), key
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "ini", [None, *sorted((ROOT / "scenarios").glob("*.ini"))], ids=lambda p: getattr(p, "name", p)
+)
+def test_loading_a_shipped_config_warns_about_nothing(ini):
+    load_config(ini)
+
+
+@pytest.mark.filterwarnings("error")
+def test_band_subcommands_do_not_build_the_eit_layer(tmp_path):
+    # gamma21 near Gamma31 makes the layer warn; only its subcommands build it
+    cfg = tmp_path / "c.ini"
+    cfg.write_text("[eit]\ngamma21 = 5e8\n[band]\nn_points = 16\n[lossmap]\nn_gamma = 2\n")
+    for cmd in ("dispersion", "lossmap"):
+        assert main([cmd, "--config", str(cfg), "--out", str(tmp_path / cmd)]) == EXIT_OK
+
+
+def test_reference_ini_lists_every_key_at_its_default():
+    ini = ROOT / "scenarios" / "reference.ini"
+    parser = configparser.RawConfigParser(inline_comment_prefixes=(";", "#"))
+    parser.read(ini, encoding="utf-8")
+    assert {s: set(parser[s]) for s in parser.sections()} == {s: set(k) for s, k in SCHEMA.items()}
+    ref, defaults = load_config(ini), load_config(None)
+    assert ref.values == defaults.values
+    assert ref.config_hash == defaults.config_hash
 
 
 def test_semi_infinite_layer_is_the_one_non_finite_value(tmp_path):

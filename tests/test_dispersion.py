@@ -19,7 +19,6 @@ from polariton_lab.dispersion import (
     sp_wavevector,
     swap_eps_mu,
 )
-from polariton_lab.errors import NumericError
 from polariton_lab.materials import (
     OMEGA_E_SILVER,
     DrudeParams,
@@ -175,6 +174,11 @@ def test_abyss_search_steps_over_a_degenerate_scan_point():
     ref = find_abyss(m1, MAGNETIC_POLE, (1.001 * WS, 0.6 * WE), Polarization.TE)
     assert WS < got.omega0 < 0.6 * WE and math.isfinite(got.kappa_at_omega0)
     assert abs(got.omega0 - ref.omega0) <= 1e-9 * ref.omega0
+    # a batch whose ratio-0 row is MAGNETIC_POLE equals the per-row oracle
+    steps = _check_batch_against_oracle(
+        m1, [0.0, 1e-3, 1e-1], 0.5 * WE, (WS, 0.6 * WE), Polarization.TE, 512
+    )
+    assert None not in steps
 
 
 def test_group_velocity_error_names_the_first_unbound_point():
@@ -468,17 +472,7 @@ def test_batched_find_abyss_equals_per_row_search(log_ratios, omega_m, below, ab
     centre = (0.82 if pol is Polarization.TM else 1.0) * omega_m * WE
     band = (centre * (1.0 - below), centre * (1.0 + above))
     assume(band[0] < band[1])
-    try:
-        steps = _check_batch_against_oracle(dielectric(), ratios, omega_m * WE, band, pol, n_grid)
-    except NumericError:
-        # a degenerate point rejects the batch; some row's search meets it alone
-        with pytest.raises(NumericError):
-            for r in ratios:
-                try:
-                    find_abyss_per_row(dielectric(), nimm(r * 2.73e13, omega_m * WE), band, pol, n_grid)
-                except AbyssNotFoundError:
-                    pass
-        return
+    steps = _check_batch_against_oracle(dielectric(), ratios, omega_m * WE, band, pol, n_grid)
     event(f"distinct zoom step counts: {len(set(s for s in steps if s is not None))}")
     event(f"rows without a minimum: {steps.count(None) > 0}")
 

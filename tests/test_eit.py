@@ -209,8 +209,9 @@ def test_parameter_validation_and_warning():
         params(Gamma31=0.0)
     with pytest.raises(ValueError):
         params(k1s=-1.0)
-    with pytest.warns(UserWarning):
+    with pytest.warns(UserWarning) as record:
         params(gamma21=0.5 * GAMMA31)
+    assert record[0].filename == __file__  # the caller, not the generated __init__
 
 
 def _assert_same_as_scalar_calls(p, alpha0, nus):

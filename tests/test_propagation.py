@@ -172,8 +172,9 @@ def test_scenario_validation():
         scenario(nu_span=5.0 / DT)  # under-resolved spectrum
     with pytest.raises(ValueError):
         scenario(delta_t=-1.0)
-    with pytest.warns(UserWarning):
+    with pytest.warns(UserWarning) as record:
         scenario(x=1.0)  # far beyond the background decay length
+    assert record[0].filename == __file__  # the caller, not the generated __init__
     with pytest.raises(ValueError):
         scenario(x=np.array([1e-3, -1e-3]))
     with pytest.raises(ValueError):  # x and Omega do not broadcast

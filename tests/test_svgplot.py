@@ -1,6 +1,7 @@
 """SVG line plots: the array writer against the point-by-point reference."""
 
 import math
+import re
 import tempfile
 from pathlib import Path
 from typing import Sequence
@@ -102,7 +103,7 @@ def oracle_line_plot(
         )
     for yv in _ticks(y_lo, y_hi):
         py = sy(yv)
-        label = f"1e{_fmt(yv)}" if logy else _fmt(yv)
+        label = _fmt(10**yv) if logy else _fmt(yv)
         parts.append(
             f'<line x1="{_fmt(_MARGIN_L - 5)}" y1="{_fmt(py)}" x2="{_fmt(_MARGIN_L)}" '
             f'y2="{_fmt(py)}" stroke="black" stroke-width="1"/>'
@@ -204,6 +205,17 @@ def test_shipped_plot_shapes_match_reference():
     curves = [(x, np.abs(np.sin(40 * x + k)) * 10.0**-k, f"c{k}") for k in range(3)]
     new, ref = _both(curves, True)
     assert new == ref
+
+
+@pytest.mark.parametrize("lo, hi", [(1e-3, 10.0), (2.5e-7, 3.1e4), (0.5, 0.7)])
+def test_log_axis_labels_are_the_tick_values(tmp_path, lo, hi):
+    out = line_plot(tmp_path / "p.svg", [([0.0, 1.0], [lo, hi], "a")], "x", "y", logy=True)
+    labels = re.findall(r'text-anchor="end" [^>]*>([^<]*)<', out.read_text())
+    pad = 0.05 * (math.log10(hi) - math.log10(lo))
+    ticks = np.linspace(math.log10(lo) - pad, math.log10(hi) + pad, 5)
+    assert len(labels) == len(ticks)
+    for label, tick in zip(labels, ticks):
+        assert math.isclose(float(label), 10**tick, rel_tol=5e-6), (label, tick)
 
 
 @pytest.mark.parametrize(
