@@ -1,21 +1,25 @@
 """Scenario-driven command line: dispersion, lossmap, eit-spectrum, propagate.
 
-Each subcommand loads one INI scenario, runs the corresponding sweep and
-writes deterministic CSV files.  Every sweep is a serial run of array passes
-in one process: one per frequency band in ``dispersion``, one over the
-whole (magnetic-decoherence ratio, frequency) grid in ``lossmap`` plus one
-batched abyss search over all its ratios, one over the whole (control
-amplitude, detuning) grid in ``eit-spectrum``, and one
-:func:`~polariton_lab.propagation.propagate_pulse` pass over the whole
-(distance, control amplitude) grid in ``propagate``, which writes its files
-only once every pulse has been computed.  Each table goes to
-:func:`~polariton_lab.csvio.write_csv` as the 2-D array the sweep built, and
-the plots take their curves from its columns.
-``--jobs`` is accepted and ignored, so the output is byte-identical for any
-``--jobs`` value.  ``--plot`` adds minimal SVG renderings drawn from the rows
-already computed.  Exit codes: 0 success, 2 configuration error, 3 numeric
-failure, 4 I/O error.  Log lines go to stderr as ``LEVEL key=value ...``
-(never colored, so NO_COLOR is honored trivially).
+Each subcommand loads one INI scenario, computes, then writes.  A ``cmd_*``
+function only computes: it returns ``(tables, figures)``, mapping each CSV
+file name to ``(header, rows)`` and, with ``--plot``, each SVG file name to
+the keyword arguments of :func:`~polariton_lab.svgplot.line_plot`.
+:func:`main` alone writes: every figure first, then every table through
+:func:`~polariton_lab.csvio.write_csv` with the provenance footer, so a
+failure in computing or drawing exits before any file is written.
+
+Every sweep is a serial run of array passes in one process: one per
+frequency band in ``dispersion``, one over the whole (magnetic-decoherence
+ratio, frequency) grid in ``lossmap`` plus one batched abyss search over all
+its ratios, one over the whole (control amplitude, detuning) grid in
+``eit-spectrum``, and one :func:`~polariton_lab.propagation.propagate_pulse`
+pass over the whole (distance, control amplitude) grid in ``propagate``.
+Each table is the 2-D array the sweep built, and the plots take their
+curves from its columns.  ``--jobs`` is accepted and ignored, so the output
+is byte-identical for any ``--jobs`` value.  Exit codes: 0 success, 2
+configuration error, 3 numeric failure, 4 I/O error.  Log lines go to
+stderr as ``LEVEL key=value ...`` (never colored, so NO_COLOR is honored
+trivially).
 """
 
 from __future__ import annotations
@@ -50,14 +54,13 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_IO = 4
 
+Tables = dict[str, tuple[list[str], Any]]  # CSV file name -> (header, rows)
+Figures = dict[str, dict[str, Any]]  # SVG file name -> line_plot keyword arguments
+
 
 def log(level: str, **kv: Any) -> None:
     parts = [level] + [f"{k}={v}" for k, v in kv.items()]
     print(" ".join(parts), file=sys.stderr)
-
-
-def _footer(cfg: ScenarioConfig) -> dict[str, str]:
-    return {"config_hash": cfg.config_hash, "tool_version": __version__}
 
 
 # ----------------------------------------------------------------- dispersion
@@ -71,7 +74,7 @@ def _band(cfg: ScenarioConfig) -> np.ndarray:
     )
 
 
-def cmd_dispersion(cfg: ScenarioConfig, out: Path, plot: bool) -> list[Path]:
+def cmd_dispersion(cfg: ScenarioConfig, plot: bool) -> tuple[Tables, Figures]:
     kappa0 = cfg["band"]["kappa0"]
     omegas = _band(cfg)
     pol = cfg.polarization
@@ -93,29 +96,24 @@ def cmd_dispersion(cfg: ScenarioConfig, out: Path, plot: bool) -> list[Path]:
         "bound_TM[1]",
         "bound_TE[1]",
     ]
-    files = [write_csv(out / "dispersion.csv", header, table, _footer(cfg))]
-    log("INFO", cmd="dispersion", points=len(table), out=str(files[0]))
-
+    figures = {}
     if plot:
         xs = table[:, 0]
         ours = np.abs(table[:, 3])
         ref = np.abs(sp_wavevector(cfg.medium1, silver(), omegas, Polarization.TM).kappa) / kappa0
-        files.append(
-            line_plot(
-                out / "fig_losses.svg",
-                [(xs, ours, cfg.medium2.label or "medium2"), (xs, ref, "silver reference")],
-                xlabel="omega/omega_e",
-                ylabel="|kappa|/kappa0",
-                title="surface-mode loss across the band",
-                logy=True,
-            )
+        figures["fig_losses.svg"] = dict(
+            curves=[(xs, ours, cfg.medium2.label or "medium2"), (xs, ref, "silver reference")],
+            xlabel="omega/omega_e",
+            ylabel="|kappa|/kappa0",
+            title="surface-mode loss across the band",
+            logy=True,
         )
-    return files
+    return {"dispersion.csv": (header, table)}, figures
 
 
 # -------------------------------------------------------------------- lossmap
 
-def cmd_lossmap(cfg: ScenarioConfig, out: Path, plot: bool) -> list[Path]:
+def cmd_lossmap(cfg: ScenarioConfig, plot: bool) -> tuple[Tables, Figures]:
     kappa0 = cfg["band"]["kappa0"]
     lm = cfg["lossmap"]
     omegas = _band(cfg)
@@ -139,29 +137,21 @@ def cmd_lossmap(cfg: ScenarioConfig, out: Path, plot: bool) -> list[Path]:
     track = np.column_stack([ratios, abyss.omega0 / cfg.omega_e, abyss.kappa_at_omega0 / kappa0])
     header_map = ["gamma_m_over_gamma_e[1]", "omega_over_we[1]", "kappa_over_kappa0[1]"]
     header_track = ["gamma_m_over_gamma_e[1]", "omega0_over_we[1]", "kappa0_min_over_kappa0[1]"]
-    files = [
-        write_csv(out / "lossmap.csv", header_map, map_table, _footer(cfg)),
-        write_csv(out / "abyss_track.csv", header_track, track, _footer(cfg)),
-    ]
-    log("INFO", cmd="lossmap", gammas=len(ratios), points=len(map_table))
-
+    figures = {}
     if plot:
         blocks = map_table.reshape(ratios.size, omegas.size, len(header_map))
-        curves = [
-            (blocks[i][:, 1], np.abs(blocks[i][:, 2]), f"gamma_m/gamma_e={ratios[i]:.2g}")
-            for i in sorted({0, ratios.size // 2, ratios.size - 1})
-        ]
-        files.append(
-            line_plot(
-                out / "fig_lossmap.svg",
-                curves,
-                xlabel="omega/omega_e",
-                ylabel="|kappa|/kappa0",
-                title="loss abyss vs magnetic decoherence",
-                logy=True,
-            )
+        figures["fig_lossmap.svg"] = dict(
+            curves=[
+                (blocks[i][:, 1], np.abs(blocks[i][:, 2]), f"gamma_m/gamma_e={ratios[i]:.2g}")
+                for i in sorted({0, ratios.size // 2, ratios.size - 1})
+            ],
+            xlabel="omega/omega_e",
+            ylabel="|kappa|/kappa0",
+            title="loss abyss vs magnetic decoherence",
+            logy=True,
         )
-    return files
+    tables = {"lossmap.csv": (header_map, map_table), "abyss_track.csv": (header_track, track)}
+    return tables, figures
 
 
 # --------------------------------------------------------------- eit-spectrum
@@ -194,7 +184,7 @@ def _resolve_alpha0(cfg: ScenarioConfig, v0: float | None = None) -> float:
     return alpha_resonant(params, abs(g.g) ** 2, v0)
 
 
-def cmd_eit_spectrum(cfg: ScenarioConfig, out: Path, plot: bool) -> list[Path]:
+def cmd_eit_spectrum(cfg: ScenarioConfig, plot: bool) -> tuple[Tables, Figures]:
     eit = cfg["eit"]
     alpha0 = _resolve_alpha0(cfg)
     gamma31 = eit["gamma31_linewidth"]
@@ -222,30 +212,24 @@ def cmd_eit_spectrum(cfg: ScenarioConfig, out: Path, plot: bool) -> list[Path]:
         "Re_G[1]",
         "Im_G[1]",
     ]
-    files = [write_csv(out / "eit_spectrum.csv", header, table, _footer(cfg))]
-    log("INFO", cmd="eit-spectrum", omegas=len(eit["omega"]), points=len(table))
-
+    figures = {}
     if plot:
         per_omega = table.reshape(omegas.size, nus.size, len(header))
-        curves = [
-            (per_omega[i, :, 0], per_omega[i, :, 2], f"Omega/Gamma31={om / gamma31:.2g}")
-            for i, om in enumerate(eit["omega"])
-        ]
-        files.append(
-            line_plot(
-                out / "fig_eit_spectrum.svg",
-                curves,
-                xlabel="nu/Gamma31",
-                ylabel="Re(alpha) x",
-                title="transparency window of the layered probe",
-            )
+        figures["fig_eit_spectrum.svg"] = dict(
+            curves=[
+                (per_omega[i, :, 0], per_omega[i, :, 2], f"Omega/Gamma31={om / gamma31:.2g}")
+                for i, om in enumerate(eit["omega"])
+            ],
+            xlabel="nu/Gamma31",
+            ylabel="Re(alpha) x",
+            title="transparency window of the layered probe",
         )
-    return files
+    return {"eit_spectrum.csv": (header, table)}, figures
 
 
 # ------------------------------------------------------------------ propagate
 
-def cmd_propagate(cfg: ScenarioConfig, out: Path, plot: bool) -> list[Path]:
+def cmd_propagate(cfg: ScenarioConfig, plot: bool) -> tuple[Tables, Figures]:
     pulse = cfg["pulse"]
     v0 = _carrier_v0(cfg)
     gamma31 = cfg["eit"]["gamma31_linewidth"]
@@ -261,11 +245,10 @@ def cmd_propagate(cfg: ScenarioConfig, out: Path, plot: bool) -> list[Path]:
     t_axis = t * gamma31
     mags = np.abs(env)
     header_profile = ["t_Gamma31[1]", "abs_envelope[1]"]
-    files = [
-        write_csv(out / f"pulse_x{i}_om{j}.csv", header_profile,
-                  np.column_stack([t_axis, mags[i, j]]), _footer(cfg))
+    tables = {
+        f"pulse_x{i}_om{j}.csv": (header_profile, np.column_stack([t_axis, mags[i, j]]))
         for i, j in np.ndindex(mags.shape[:2])
-    ]
+    }
     grid = np.broadcast_arrays(xs[:, None], omegas / gamma31)
     columns = [*grid, m.delay / delta_t, m.amp_ratio, m.vg, m.l_sp]
     header_metrics = [
@@ -276,29 +259,23 @@ def cmd_propagate(cfg: ScenarioConfig, out: Path, plot: bool) -> list[Path]:
         "vg[m/s]",
         "l_sp[m]",
     ]
-    metrics = np.column_stack([c.ravel() for c in columns])
-    files.append(write_csv(out / "metrics.csv", header_metrics, metrics, _footer(cfg)))
+    tables["metrics.csv"] = (header_metrics, np.column_stack([c.ravel() for c in columns]))
     if omegas.size >= 2:
         slopes = [delay_slope(omegas, delays, xi, v0) for xi, delays in zip(pulse["x"], m.delay)]
         slope_rows = [[xi, math.nan if k is None else k] for xi, k in zip(pulse["x"], slopes)]
-        files.append(
-            write_csv(out / "slope.csv", ["x[m]", "delay_slope[1]"], slope_rows, _footer(cfg))
-        )
-    log("INFO", cmd="propagate", runs=len(metrics), out=str(out))
+        tables["slope.csv"] = (["x[m]", "delay_slope[1]"], slope_rows)
 
+    figures = {}
     if plot:
         input_env = np.exp(-0.5 * np.float_power(t_axis / (delta_t * gamma31), 2))
         curves = [(t_axis, mags[i, 0], f"x={xi:g} m") for i, xi in enumerate(pulse["x"])]
-        files.append(
-            line_plot(
-                out / "fig_pulses.svg",
-                [(t_axis, input_env, "input")] + curves,
-                xlabel="t Gamma31",
-                ylabel="|envelope|",
-                title="slow-light propagation of the surface probe",
-            )
+        figures["fig_pulses.svg"] = dict(
+            curves=[(t_axis, input_env, "input")] + curves,
+            xlabel="t Gamma31",
+            ylabel="|envelope|",
+            title="slow-light propagation of the surface probe",
         )
-    return files
+    return tables, figures
 
 
 # ----------------------------------------------------------------------- main
@@ -336,13 +313,18 @@ def main(argv: Sequence[str] | None = None) -> int:
         out = args.out if args.out is not None else Path(cfg["output"]["directory"])
         out.mkdir(parents=True, exist_ok=True)
         log("INFO", cmd=args.command, config=str(args.config), hash=cfg.config_hash, out=str(out))
-        files = _COMMANDS[args.command](cfg, out, args.plot)
+        tables, figures = _COMMANDS[args.command](cfg, args.plot)
+        footer = {"config_hash": cfg.config_hash, "tool_version": __version__}
+        for name, kwargs in figures.items():
+            line_plot(out / name, **kwargs)
+        csvs = [write_csv(out / name, *table, footer) for name, table in tables.items()]
+        log("INFO", cmd=args.command, tables=len(csvs), figures=len(figures), out=str(out))
         if args.validate:
-            for f in files:
-                if f.suffix == ".csv" and not round_trip_ok(f):
+            for f in csvs:
+                if not round_trip_ok(f):
                     log("ERROR", validate=str(f), status="round-trip-mismatch")
                     return EXIT_IO
-            log("INFO", validate="ok", files=len(files))
+            log("INFO", validate="ok", files=len(csvs))
     except ConfigError as exc:
         log("ERROR", kind="config", detail=str(exc))
         return EXIT_CONFIG

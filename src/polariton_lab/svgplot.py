@@ -7,6 +7,7 @@ formatting so identical data produces identical bytes.
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 from typing import Sequence
 
@@ -20,6 +21,18 @@ _N_TICKS = 5  # per axis
 
 def _fmt(v: float) -> str:
     return format(v, ".6g")
+
+
+def _pow10_label(e: float) -> str:
+    """10**e as :func:`_fmt` writes it; past the largest float, from the exponent."""
+    try:
+        return _fmt(10**e)
+    except OverflowError:
+        exponent = math.floor(e)
+        mantissa = _fmt(10 ** (e - exponent))
+        if mantissa == "10":
+            mantissa, exponent = "1", exponent + 1
+        return f"{mantissa}e+{exponent}"
 
 
 def _ticks(lo: float, hi: float) -> list[float]:
@@ -104,7 +117,7 @@ def line_plot(
         )
     for yv in _ticks(y_lo, y_hi):
         py = sy(yv)
-        label = _fmt(10**yv) if logy else _fmt(yv)
+        label = _pow10_label(yv) if logy else _fmt(yv)
         parts.append(
             f'<line x1="{_fmt(_MARGIN_L - 5)}" y1="{_fmt(py)}" x2="{_fmt(_MARGIN_L)}" '
             f'y2="{_fmt(py)}" stroke="black" stroke-width="1"/>'

@@ -401,7 +401,8 @@ def test_eit_spectrum_bytes_equal_per_omega_calls(tmp_path, ini):
         ]
         rows += np.column_stack(columns).tolist()
     header, _, _ = read_csv(out / "eit_spectrum.csv")
-    per_omega = write_csv(tmp_path / "per_omega.csv", header, rows, cli._footer(cfg))
+    footer = {"config_hash": cfg.config_hash, "tool_version": __version__}
+    per_omega = write_csv(tmp_path / "per_omega.csv", header, rows, footer)
     assert (out / "eit_spectrum.csv").read_bytes() == per_omega.read_bytes()
 
 
@@ -425,6 +426,46 @@ def test_propagate_outputs_and_slope(tmp_path):
     assert len(rows) == 4
     _, slope_rows, _ = read_csv(out / "slope.csv")
     assert slope_rows[0][1] == pytest.approx(-2.0, abs=0.2)
+
+
+def test_failed_plot_writes_no_file(tmp_path, capsys):
+    # no loss at any ratio: every |kappa| is zero, so the log-y lossmap
+    # figure has nothing to draw, and its tables must not be left behind
+    cfg = tmp_path / "lossless.ini"
+    cfg.write_text("[materials]\npreset2 = custom\ngamma_e = 0\ngamma_m = 0\n"
+                   "[band]\nn_points = 64\n[lossmap]\nn_gamma = 3\n")
+    out = tmp_path / "out"
+    assert main(["lossmap", "--config", str(cfg), "--out", str(out), "--plot"]) == EXIT_NUMERIC
+    assert "nothing to plot" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("cmd", sorted(cli._COMMANDS))
+@pytest.mark.parametrize(
+    "ini", sorted((ROOT / "scenarios").glob("*.ini")), ids=lambda path: path.name
+)
+def test_main_writes_what_the_command_returns(tmp_path, ini, cmd):
+    # each cmd_* only computes; main writes its tables with the run's footer
+    # and draws its figures, and writes nothing else
+    out = tmp_path / "out"
+    code = main([cmd, "--config", str(ini), "--out", str(out), "--plot"])
+    cfg = load_config(ini)
+    if code == EXIT_CONFIG:  # silver: no magnetic pole for lossmap to sweep
+        with pytest.raises(ConfigError):
+            cli._COMMANDS[cmd](cfg, True)
+        assert list(out.iterdir()) == []
+        return
+    assert code == EXIT_OK
+    tables, figures = cli._COMMANDS[cmd](cfg, True)
+    footer = {"config_hash": cfg.config_hash, "tool_version": __version__}
+    want = tmp_path / "want"
+    for name, (header, rows) in tables.items():
+        write_csv(want / name, header, rows, footer)
+    assert sorted(p.name for p in out.glob("*.csv")) == sorted(tables)
+    for name in tables:
+        assert (out / name).read_bytes() == (want / name).read_bytes(), name
+    assert sorted(p.name for p in out.glob("*.svg")) == sorted(figures)
+    assert len(list(out.iterdir())) == len(tables) + len(figures)
 
 
 def test_propagate_aliasing_writes_no_pulse_file(tmp_path, capsys):

@@ -3,6 +3,7 @@
 import math
 import re
 import tempfile
+from decimal import Decimal, localcontext
 from pathlib import Path
 from typing import Sequence
 
@@ -207,15 +208,22 @@ def test_shipped_plot_shapes_match_reference():
     assert new == ref
 
 
-@pytest.mark.parametrize("lo, hi", [(1e-3, 10.0), (2.5e-7, 3.1e4), (0.5, 0.7)])
+@pytest.mark.parametrize(
+    "lo, hi",
+    # the last two put the padded top tick past 1.8e308, where 10**tick overflows
+    [(1e-3, 10.0), (2.5e-7, 3.1e4), (0.5, 0.7), (1e300, 1e308), (1e-5, 1.7e308)],
+)
 def test_log_axis_labels_are_the_tick_values(tmp_path, lo, hi):
     out = line_plot(tmp_path / "p.svg", [([0.0, 1.0], [lo, hi], "a")], "x", "y", logy=True)
     labels = re.findall(r'text-anchor="end" [^>]*>([^<]*)<', out.read_text())
     pad = 0.05 * (math.log10(hi) - math.log10(lo))
     ticks = np.linspace(math.log10(lo) - pad, math.log10(hi) + pad, 5)
     assert len(labels) == len(ticks)
-    for label, tick in zip(labels, ticks):
-        assert math.isclose(float(label), 10**tick, rel_tol=5e-6), (label, tick)
+    with localcontext() as ctx:
+        ctx.prec = 30
+        for label, tick in zip(labels, ticks):
+            want = Decimal(10) ** Decimal(float(tick))
+            assert abs(Decimal(label) / want - 1) <= Decimal("5e-6"), (label, tick)
 
 
 @pytest.mark.parametrize(
