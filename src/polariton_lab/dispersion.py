@@ -41,8 +41,7 @@ C = 299792458.0  # speed of light in vacuum, m/s (exact)
 
 _BC_RESIDUAL_TOL = 1e-8
 _DEGENERATE_TOL = 1e-12
-_ABYSS_XTOL = 1e-9
-_ZOOM_POINTS = 33
+_SCAN_POINTS = 512
 
 
 class Polarization(Enum):
@@ -180,30 +179,17 @@ def polarization_support(
     return {pol for pol in Polarization if sp_wavevector(m1, m2, omega, pol).bound}
 
 
-def group_velocity(
-    m1: HalfSpaceMaterial,
-    m2: HalfSpaceMaterial,
-    omega,
-    pol: Polarization = Polarization.TM,
-):
-    """Group velocity dw/dk_par = 1/Re(dk/dw) of the bare surface mode at ``omega``.
+def _dk_domega(m1, m2, w: np.ndarray, pol: Polarization, interface, k: np.ndarray) -> np.ndarray:
+    """Closed-form dk/dw at ``w`` from its :func:`_interface` triple and its k.
 
-    Closed form: the radicand R(a1, a2, b1, b2) of k = (w/c)*sqrt(R) is
-    homogeneous of degree 2, so (c*k)**2 = R(w*a1, w*a2, w*b1, w*b2) and
+    The radicand R(a1, a2, b1, b2) of k = (w/c)*sqrt(R) is homogeneous of
+    degree 2, so (c*k)**2 = R(w*a1, w*a2, w*b1, w*b2) and
 
         2*c**2 * k * dk/dw = w * sum_j dR/da_j * d(w*a_j)/dw,
 
-    with the analytic d(w*a_j)/dw of the material models.  A scalar
-    ``omega`` gives a float, an array gives an array; :class:`ValueError` is
-    raised when any requested point is unbound.
+    with the analytic d(w*a_j)/dw of the material models.
     """
-    w = _frequencies(omega)
-    ((a1, a2, b1, b2), denom, radicand), k, fields = _solve(m1, m2, w, pol)
-    unbound = ~fields["bound"]
-    if unbound.any():
-        first = np.broadcast_to(w, unbound.shape)[unbound][0]
-        raise ValueError(f"no bound {pol.value} mode at omega = {first:.3g} "
-                         f"({np.count_nonzero(unbound)} of {unbound.size} points unbound)")
+    (a1, a2, b1, b2), denom, radicand = interface
     da1, da2, db1, db2 = _by_polarization(pol, *d_omega_material(m1, w), *d_omega_material(m2, w))
     # R = N / denom with N = a1*a2**2*b1 - a1**2*a2*b2.
     d_radicand = (
@@ -212,8 +198,29 @@ def group_velocity(
         + a1 * a2 * a2 * db1
         - a1 * a1 * a2 * db2
     ) / denom
-    dk_domega = w * d_radicand / (2.0 * C * C * k)
-    return _shaped(1.0 / dk_domega.real, omega)
+    return w * d_radicand / (2.0 * C * C * k)
+
+
+def group_velocity(
+    m1: HalfSpaceMaterial,
+    m2: HalfSpaceMaterial,
+    omega,
+    pol: Polarization = Polarization.TM,
+):
+    """Group velocity dw/dk_par = 1/Re(dk/dw) of the bare surface mode at ``omega``.
+
+    dk/dw is the closed form of :func:`_dk_domega`.  A scalar ``omega``
+    gives a float, an array gives an array; :class:`ValueError` is raised
+    when any requested point is unbound.
+    """
+    w = _frequencies(omega)
+    interface, k, fields = _solve(m1, m2, w, pol)
+    unbound = ~fields["bound"]
+    if unbound.any():
+        first = np.broadcast_to(w, unbound.shape)[unbound][0]
+        raise ValueError(f"no bound {pol.value} mode at omega = {first:.3g} "
+                         f"({np.count_nonzero(unbound)} of {unbound.size} points unbound)")
+    return _shaped(1.0 / _dk_domega(m1, m2, w, pol, interface, k).real, omega)
 
 
 def loss_cancellation_residual(
@@ -254,82 +261,80 @@ def find_abyss(
     m2: HalfSpaceMaterial,
     search_band: tuple[float, float],
     pol: Polarization = Polarization.TM,
-    n_grid: int = 512,
 ) -> AbyssResult:
     """Locate the minimum of |kappa(w)| inside ``search_band``.
 
-    A coarse scan of ``n_grid >= 3`` points, solved as one array, brackets
-    the minimum; each refinement step solves 33 points across the bracket as
-    one array and narrows it to the neighbours of their minimum, down to a
-    relative width of 1e-9.  A NaN kappa (a degenerate, unbound frequency,
-    see :func:`sp_wavevector`) is never the minimum.  Where kappa changes
-    sign there (a genuine cancellation), a linear step lands on the root,
-    and the floor ``kappa_at_omega0`` is zero to rounding.  A coarse minimum
-    on a band edge means no interior minimum: :class:`AbyssNotFoundError`.
-    The loss-interference residual at the minimizer is a diagnostic;
-    ``is_cancellation`` is False when it exceeds 0.05 (a minimum exists but
-    losses do not cancel there).
+    Every minimum is a root of h = kappa * dkappa/dw, half of d(kappa**2)/dw,
+    with dkappa/dw = Im(dk/dw) in closed form (:func:`_dk_domega`): kappa
+    changes sign at a genuine cancellation, and dkappa/dw vanishes at a
+    smooth minimum (the TE mode).  A 512-point scan, solved as one array,
+    brackets it by the neighbours of its smallest |kappa| (never a NaN, a
+    degenerate point, see :func:`sp_wavevector`).  The minimum is found when
+    that point is interior and h goes from < 0 to > 0 across the bracket;
+    otherwise there is no interior minimum: :class:`AbyssNotFoundError`.
+    Illinois steps on h (regula falsi that halves the stale end's h) shrink
+    the bracket until h = 0 or it is a few ulp wide, and ``omega0`` is the
+    end with the smaller |kappa|.  The loss-interference residual there is
+    a diagnostic; ``is_cancellation`` is False when it exceeds 0.05 (a
+    minimum exists but losses do not cancel there).
 
     A batch of media (``(n, 1)`` loss rates, see
-    :class:`~polariton_lab.materials.DrudeParams`) is searched row by row in
-    lockstep: the coarse scan is one ``(n, n_grid)`` solve, each refinement
-    step one ``(n, 33)`` solve of which only the rows with an interior
-    minimum that are still wider than 1e-9 take the new bracket (a row that
-    is narrow enough stops, so it takes exactly the steps it takes alone),
-    and the root step one solve whose value only the rows where kappa
-    changes sign take.  The result holds arrays, each row bit-equal to a
-    search with the medium of that row, and NaN in the rows with no interior
-    minimum; nothing is raised for them.
+    :class:`~polariton_lab.materials.DrudeParams`) is searched in lockstep:
+    one ``(n, 512)`` scan, one ``(n, 2)`` solve of the brackets and one
+    ``(n, 1)`` solve per step, whose values only the rows still searching
+    take, so each row takes exactly the steps it takes alone.  The result
+    holds arrays, each row bit-equal to a search with the medium of that
+    row, and NaN in the rows with no interior minimum; nothing is raised.
     """
     lo, hi = search_band
     if not (0 < lo < hi):
         raise ValueError(f"invalid search band {search_band!r}")
-    if n_grid < 3:
-        raise ValueError(f"n_grid must be at least 3 to bracket a minimum, got {n_grid!r}")
     batch = _batch_rows(m1, m2)
 
-    grid = np.linspace(lo, hi, n_grid)
-    kappa = sp_wavevector(m1, m2, grid, pol).kappa.reshape(-1, n_grid)
+    grid = np.linspace(lo, hi, _SCAN_POINTS)
+    kappa = sp_wavevector(m1, m2, grid, pol).kappa.reshape(-1, _SCAN_POINTS)
     i = np.argmin(np.fmin(np.abs(kappa), np.inf), axis=1)  # NaN is never the minimum
-    found = (i > 0) & (i < n_grid - 1)
+    # Each row's bracket: its ends (columns a, b), with kappa and h there.
+    ends = grid[np.clip(i[:, None] + (-1, 1), 0, _SCAN_POINTS - 1)]
+    kap, h = _kappa_slope(m1, m2, ends, pol)
+    found = (i > 0) & (i < _SCAN_POINTS - 1) & (h[:, 0] < 0) & (h[:, 1] > 0)
     if batch is None and not found[0]:
         raise AbyssNotFoundError(
-            f"no interior |kappa| minimum in [{lo:.6e}, {hi:.6e}] "
-            f"(edge value {abs(kappa[0, i[0]]):.6e} 1/m)"
+            f"no interior |kappa| minimum in [{lo:.6e}, {hi:.6e}] (scan minimum "
+            f"{abs(kappa[0, i[0]]):.6e} 1/m at {grid[i[0]]:.6e} rad/s)"
         )
 
-    # Row r of win_w, win_k: the minimum of row r's latest scan (column 1)
-    # between its two neighbours, which are the bracket; at an end of the
-    # scan the neighbour is the minimum itself.
-    win_w, win_k = _window(np.broadcast_to(grid, kappa.shape), kappa, i)
-    while True:
-        a, c = win_w[:, 0], win_w[:, 2]
-        narrowing = found & (c - a > _ABYSS_XTOL * win_w[:, 1])
-        if not narrowing.any():
-            break
-        zoom = np.linspace(a, c, _ZOOM_POINTS, axis=-1)
-        k = sp_wavevector(m1, m2, zoom, pol).kappa
-        new_w, new_k = _window(zoom, k, np.argmin(np.fmin(np.abs(k), np.inf), axis=1))
-        win_w[narrowing], win_k[narrowing] = new_w[narrowing], new_k[narrowing]
+    # Each step moves an end of every searching row to a point strictly
+    # inside its bracket (the midpoint where regula falsi lands on or past an
+    # end), or both ends to the root where h = 0, so the bracket holds fewer
+    # floats after every step: each row stops, and then never changes again.
+    moved = np.zeros_like(ends, dtype=bool)
+    while (searching := found & (ends[:, 1] - ends[:, 0] > 4 * np.spacing(ends[:, 1]))).any():
+        (a, b), (ha, hb) = ends.T, h.T
+        with np.errstate(divide="ignore", invalid="ignore"):  # rows that stopped
+            c = b - hb * (b - a) / (hb - ha)
+        c = np.where(searching & (a < c) & (c < b), c, 0.5 * (a + b))[:, None]
+        kc, hc = _kappa_slope(m1, m2, c, pol)
+        now = searching[:, None] & np.hstack([hc <= 0, ~(hc < 0)])  # h = 0 moves both
+        # Illinois: an end left behind twice in a row has its h halved.
+        h = np.where(now, hc, np.where((now & moved)[:, ::-1], 0.5 * h, h))
+        ends, kap, moved = np.where(now, c, ends), np.where(now, kc, kap), now
 
-    omega0, kappa0 = win_w[:, 1], win_k[:, 1]
-    # A sign change of kappa next to the minimum: step to its root.  (A
-    # neighbour clipped at a scan end is the minimum, and k * k < 0 is False.)
-    left = win_k[:, 0] * kappa0 < 0
-    crossing = found & (left | (win_k[:, 2] * kappa0 < 0))
-    if crossing.any():
-        w_j = np.where(left, win_w[:, 0], win_w[:, 2])
-        k_j = np.where(left, win_k[:, 0], win_k[:, 2])
-        step = np.divide(kappa0 * (w_j - omega0), k_j - kappa0, out=np.zeros_like(omega0),
-                         where=crossing)
-        omega0 = omega0 - step
-        root = sp_wavevector(m1, m2, omega0[:, None], pol).kappa[:, 0]
-        kappa0 = np.where(crossing, root, kappa0)
+    nearer_b = np.abs(kap[:, 1]) < np.abs(kap[:, 0])
+    omega0, kappa0 = np.where(nearer_b, (ends[:, 1], kap[:, 1]), (ends[:, 0], kap[:, 0]))
     residual = loss_cancellation_residual(m1, m2, omega0[:, None], pol)[:, 0]
     table = np.where(found, (omega0, kappa0, residual), np.nan)
     if batch is None:
         return AbyssResult(*(float(v[0]) for v in table))
     return AbyssResult(*table)
+
+
+def _kappa_slope(m1, m2, w: np.ndarray, pol: Polarization) -> tuple[np.ndarray, np.ndarray]:
+    """kappa and h = kappa * dkappa/dw at ``w``, NaN h at a degenerate point."""
+    interface = _interface(m1, m2, w, pol)
+    k = (w / C) * _principal_sqrt(interface[2])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return k.imag, k.imag * _dk_domega(m1, m2, w, pol, interface, k).imag
 
 
 def _batch_rows(*media: HalfSpaceMaterial) -> int | None:
@@ -343,12 +348,6 @@ def _batch_rows(*media: HalfSpaceMaterial) -> int | None:
     if len(shapes) > 1 or any(len(s) != 2 or s[1] != 1 for s in shapes):
         raise ValueError(f"a batch of media needs loss rates of one shape (n, 1), got {shapes}")
     return shapes.pop()[0] if shapes else None
-
-
-def _window(w: np.ndarray, k: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Columns j - 1, j and j + 1 of each row of the scan (w, k), clipped at its ends."""
-    cols = np.clip(j[:, None] + np.arange(-1, 2), 0, w.shape[1] - 1)
-    return np.take_along_axis(w, cols, axis=1), np.take_along_axis(k, cols, axis=1)
 
 
 def swap_eps_mu(m: HalfSpaceMaterial) -> HalfSpaceMaterial:

@@ -8,6 +8,7 @@ formatting so identical data produces identical bytes.
 from __future__ import annotations
 
 import math
+import sys
 from pathlib import Path
 from typing import Sequence
 
@@ -24,15 +25,18 @@ def _fmt(v: float) -> str:
 
 
 def _pow10_label(e: float) -> str:
-    """10**e as :func:`_fmt` writes it; past the largest float, from the exponent."""
+    """10**e as :func:`_fmt` writes it; outside the normal floats, from the exponent."""
     try:
-        return _fmt(10**e)
+        value = 10**e
     except OverflowError:
-        exponent = math.floor(e)
-        mantissa = _fmt(10 ** (e - exponent))
-        if mantissa == "10":
-            mantissa, exponent = "1", exponent + 1
-        return f"{mantissa}e+{exponent}"
+        value = math.inf
+    if sys.float_info.min <= value < math.inf:
+        return _fmt(value)
+    exponent = math.floor(e)
+    mantissa = _fmt(10 ** (e - exponent))
+    if mantissa == "10":
+        mantissa, exponent = "1", exponent + 1
+    return f"{mantissa}e{exponent:+03d}"  # the exponent as %g writes it
 
 
 def _ticks(lo: float, hi: float) -> list[float]:

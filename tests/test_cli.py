@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from _abyss_oracle import lossmap_tables
+from _abyss_oracle import check_against_oracle, lossmap_tables
 
 from polariton_lab import __version__, cli
 from polariton_lab.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, main
@@ -579,16 +579,21 @@ def test_lossmap_bytes_equal_per_ratio_oracle(tmp_path, ini, capsys):
         assert list(out.iterdir()) == []
         return
     assert main(["lossmap", "--config", str(ini), "--out", str(out)]) == EXIT_OK
-    map_rows, track_rows = lossmap_tables(cfg)
+    map_rows, track = lossmap_tables(cfg)
     footer = {"config_hash": cfg.config_hash, "tool_version": __version__}
     want = tmp_path / "want"
     want.mkdir()
     write_csv(want / "lossmap.csv", ["gamma_m_over_gamma_e[1]", "omega_over_we[1]",
                                      "kappa_over_kappa0[1]"], map_rows, footer)
-    write_csv(want / "abyss_track.csv", ["gamma_m_over_gamma_e[1]", "omega0_over_we[1]",
-                                         "kappa0_min_over_kappa0[1]"], track_rows, footer)
-    for name in ("lossmap.csv", "abyss_track.csv"):
-        assert (out / name).read_bytes() == (want / name).read_bytes(), name
+    assert (out / "lossmap.csv").read_bytes() == (want / "lossmap.csv").read_bytes()
+    # the search and the oracle are different algorithms: the track agrees to tolerance
+    header, rows, got_footer = read_csv(out / "abyss_track.csv")
+    assert header == ["gamma_m_over_gamma_e[1]", "omega0_over_we[1]", "kappa0_min_over_kappa0[1]"]
+    assert got_footer == footer and len(rows) == len(track)
+    for (ratio, omega0, kappa0), (want_ratio, m2, (abyss, crossing)) in zip(rows, track):
+        assert ratio == want_ratio
+        check_against_oracle(omega0 * cfg.omega_e, kappa0 * cfg["band"]["kappa0"], abyss,
+                             crossing, cfg.medium1, m2, cfg.polarization)
 
 
 def test_lossmap_honours_te_polarization(tmp_path):

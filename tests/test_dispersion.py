@@ -5,7 +5,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from _abyss_oracle import find_abyss_per_row
+from _abyss_oracle import check_against_oracle, find_abyss_per_row
 from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
@@ -36,18 +36,22 @@ WE = OMEGA_E_SILVER
 mp.mp.dps = 50
 
 
-def _mp_wavevector(x, gamma_m=1e11, metal=False):
-    """Independent high-precision evaluation of the interface wave vector."""
+def _mp_k(w, gamma_m=1e11, metal=False, pol=Polarization.TM):
+    """Independent high-precision interface wave vector at ``w`` (rad/s, an mpf)."""
     we = mp.mpf("1.37e16")
-    w = mp.mpf(repr(x)) * we
-    e1 = mp.mpf("1.3")
+    e1, u1 = mp.mpf("1.3"), mp.mpf(1)
     e2 = 1 - we**2 / (w * (w + 1j * mp.mpf("2.73e13")))
-    m2 = mp.mpf(1) if metal else 1 - (we / 2) ** 2 / (w * (w + 1j * mp.mpf(repr(gamma_m))))
-    r = e1 * e2 * (e2 - e1 * m2) / (e2**2 - e1**2)
-    s = mp.sqrt(r)
+    u2 = mp.mpf(1) if metal else 1 - (we / 2) ** 2 / (w * (w + 1j * mp.mpf(repr(gamma_m))))
+    a1, a2, b1, b2 = (e1, e2, u1, u2) if pol is Polarization.TM else (u1, u2, e1, e2)
+    s = mp.sqrt(a1 * a2 * (a2 * b1 - a1 * b2) / (a2**2 - a1**2))
     if mp.re(s) < 0:
         s = -s
-    return complex((w / mp.mpf(repr(C))) * s)
+    return (w / mp.mpf(repr(C))) * s
+
+
+def _mp_wavevector(x, gamma_m=1e11, metal=False):
+    """Independent high-precision evaluation of the TM wave vector at ``x`` omega_e."""
+    return complex(_mp_k(mp.mpf(repr(x)) * mp.mpf("1.37e16"), gamma_m, metal))
 
 
 def test_wavevector_matches_high_precision_oracle():
@@ -174,11 +178,11 @@ def test_abyss_search_steps_over_a_degenerate_scan_point():
     ref = find_abyss(m1, MAGNETIC_POLE, (1.001 * WS, 0.6 * WE), Polarization.TE)
     assert WS < got.omega0 < 0.6 * WE and math.isfinite(got.kappa_at_omega0)
     assert abs(got.omega0 - ref.omega0) <= 1e-9 * ref.omega0
-    # a batch whose ratio-0 row is MAGNETIC_POLE equals the per-row oracle
-    steps = _check_batch_against_oracle(
-        m1, [0.0, 1e-3, 1e-1], 0.5 * WE, (WS, 0.6 * WE), Polarization.TE, 512
+    # a batch whose ratio-0 row is MAGNETIC_POLE meets the per-row oracle
+    expected = _check_batch_against_oracle(
+        m1, [0.0, 1e-3, 1e-1], 0.5 * WE, (WS, 0.6 * WE), Polarization.TE
     )
-    assert None not in steps
+    assert None not in expected
 
 
 def test_group_velocity_error_names_the_first_unbound_point():
@@ -256,10 +260,26 @@ def test_find_abyss_location_and_depth():
     assert result.residual < 0.05
 
 
+@pytest.mark.parametrize(
+    "pol, band", [(Polarization.TM, (0.3, 0.5)), (Polarization.TE, (0.45, 0.55))]
+)
+def test_find_abyss_is_the_high_precision_root(pol, band):
+    # TM: kappa changes sign at the minimum; TE: a smooth minimum, dkappa/dw = 0
+    result = find_abyss(dielectric(), nimm(), (band[0] * WE, band[1] * WE), pol)
+
+    def kappa(w):
+        return mp.im(_mp_k(w, pol=pol))
+
+    f = kappa if pol is Polarization.TM else (lambda w: mp.diff(kappa, w))
+    root = mp.findroot(f, mp.mpf(result.omega0))
+    assert abs(mp.mpf(result.omega0) / root - 1) < 1e-14
+
+
 def test_find_abyss_grid_stability():
-    coarse = find_abyss(dielectric(), nimm(), (0.3 * WE, 0.5 * WE), n_grid=512)
-    fine = find_abyss(dielectric(), nimm(), (0.3 * WE, 0.5 * WE), n_grid=1024)
-    assert abs(coarse.omega0 - fine.omega0) / fine.omega0 < 1e-6
+    # two search bands, so two coarse scans, around one minimum
+    wide = find_abyss(dielectric(), nimm(), (0.3 * WE, 0.5 * WE))
+    narrow = find_abyss(dielectric(), nimm(), (0.37 * WE, 0.43 * WE))
+    assert abs(wide.omega0 - narrow.omega0) / narrow.omega0 < 1e-13
 
 
 @pytest.mark.parametrize(
@@ -282,11 +302,6 @@ def test_find_abyss_matches_golden_section(gamma_m, pol, band):
     result = find_abyss(m1, m2, (band[0] * WE, band[1] * WE), pol)
     assert result.omega0 == pytest.approx(golden.x, rel=1e-9)
     assert abs(result.kappa_at_omega0) <= golden.fun * (1 + 1e-12)
-
-
-def test_find_abyss_rejects_grid_that_cannot_bracket():
-    with pytest.raises(ValueError):
-        find_abyss(dielectric(), nimm(), (0.3 * WE, 0.5 * WE), n_grid=2)
 
 
 def test_find_abyss_metal_has_no_cancellation():
@@ -424,36 +439,36 @@ def _bits(x) -> bytes:
     return np.float64(x).tobytes()
 
 
-def _check_batch_against_oracle(m1, ratios, omega_m, band, pol, n_grid):
-    """The batched search over ``ratios`` against the per-row oracle; the step counts."""
+def _check_batch_against_oracle(m1, ratios, omega_m, band, pol):
+    """The batched search over ``ratios`` against the per-row oracle; the oracle's results.
+
+    Each row meets the oracle to :func:`check_against_oracle`'s tolerances
+    and is bit-equal to the scalar call with its medium.
+    """
     rows = [nimm(gamma_m=r * 2.73e13, omega_m=omega_m) for r in ratios]
-    expected, steps = [], []
-    for m2 in rows:
-        try:
-            result, n_steps = find_abyss_per_row(m1, m2, band, pol, n_grid)
-        except AbyssNotFoundError:
-            result, n_steps = None, None
-        expected.append(result)
-        steps.append(n_steps)
     batch = nimm(gamma_m=np.array(ratios)[:, None] * 2.73e13, omega_m=omega_m)
-    got = find_abyss(m1, batch, band, pol, n_grid)
-    for r, want in enumerate(expected):
+    got = find_abyss(m1, batch, band, pol)
+    expected = []
+    for r, m2 in enumerate(rows):
+        try:
+            want, crossing = find_abyss_per_row(m1, m2, band, pol)
+        except AbyssNotFoundError:
+            want, crossing = None, False
+        expected.append(want)
         fields = (got.omega0[r], got.kappa_at_omega0[r], got.residual[r])
-        if want is None:  # NaN exactly where the oracle raises
-            assert all(math.isnan(f) for f in fields), (r, fields)
+        check_against_oracle(fields[0], fields[1], want, crossing, m1, m2, pol)
+        if want is None:
+            assert math.isnan(fields[2])
             continue
-        assert _bits(fields[0]) == _bits(want.omega0)
-        assert _bits(fields[1]) == _bits(want.kappa_at_omega0)
-        assert _bits(fields[2]) == _bits(want.residual)
         # the one-row view is the scalar call
-        one = find_abyss(m1, rows[r], band, pol, n_grid)
+        one = find_abyss(m1, m2, band, pol)
         assert [_bits(v) for v in (one.omega0, one.kappa_at_omega0, one.residual)] == [
             _bits(f) for f in fields
         ]
         # the scalar residual formula agrees to rounding
-        scalar = loss_cancellation_residual(m1, rows[r], want.omega0, pol)
+        scalar = loss_cancellation_residual(m1, m2, fields[0], pol)
         assert abs(fields[2] - scalar) <= 1e-9 * max(scalar, 1e-3)
-    return steps
+    return expected
 
 
 @settings(max_examples=150, deadline=None)
@@ -463,27 +478,34 @@ def _check_batch_against_oracle(m1, ratios, omega_m, band, pol, n_grid):
     below=st.floats(-0.05, 0.4),
     above=st.floats(0.01, 0.4),
     pol=st.sampled_from(Polarization),
-    n_grid=st.one_of(st.just(3), st.integers(3, 96)),
 )
-def test_batched_find_abyss_equals_per_row_search(log_ratios, omega_m, below, above, pol, n_grid):
+def test_batched_find_abyss_equals_per_row_search(log_ratios, omega_m, below, above, pol):
     # The band is drawn around where the minima lie for small losses, about
     # 0.82 omega_m for TM and omega_m for TE; below < 0 starts it past them.
     ratios = [10.0**x for x in log_ratios]
     centre = (0.82 if pol is Polarization.TM else 1.0) * omega_m * WE
     band = (centre * (1.0 - below), centre * (1.0 + above))
     assume(band[0] < band[1])
-    steps = _check_batch_against_oracle(dielectric(), ratios, omega_m * WE, band, pol, n_grid)
-    event(f"distinct zoom step counts: {len(set(s for s in steps if s is not None))}")
-    event(f"rows without a minimum: {steps.count(None) > 0}")
+    expected = _check_batch_against_oracle(dielectric(), ratios, omega_m * WE, band, pol)
+    event(f"rows without a minimum: {expected.count(None) > 0}")
 
 
-def test_batched_find_abyss_rows_with_different_step_counts():
+def test_batched_find_abyss_rows_with_different_step_counts(monkeypatch):
+    import polariton_lab.dispersion as dispersion
+
     ratios = np.geomspace(1e-5, 1.0, 13).tolist()
     band = (0.3 * WE, 0.5 * WE)
-    steps = _check_batch_against_oracle(dielectric(), ratios, 0.5 * WE, band, Polarization.TM, 5)
-    assert {7, 8, None} <= set(steps)  # rows stop at different steps; the last has no minimum
-    one = _check_batch_against_oracle(dielectric(), ratios[:1], 0.5 * WE, band, Polarization.TM, 3)
-    assert one == [8]
+    expected = _check_batch_against_oracle(dielectric(), ratios, 0.5 * WE, band, Polarization.TM)
+    assert expected[-1] is None and None not in expected[:-1]  # the last has no minimum
+    # rows stop at different steps, yet each row of the batch is its scalar call
+    solves, solve = [], dispersion._kappa_slope
+    monkeypatch.setattr(dispersion, "_kappa_slope", lambda *args: solves.append(1) or solve(*args))
+    steps = []
+    for r in ratios[:-1]:
+        solves.clear()
+        find_abyss(dielectric(), nimm(gamma_m=r * 2.73e13), band)
+        steps.append(len(solves) - 1)  # the first solve is the bracket's ends
+    assert len(set(steps)) > 1, steps
 
 
 def test_batched_find_abyss_shapes_and_scalar_errors():

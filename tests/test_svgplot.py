@@ -2,6 +2,7 @@
 
 import math
 import re
+import sys
 import tempfile
 from decimal import Decimal, localcontext
 from pathlib import Path
@@ -20,6 +21,18 @@ _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 64.0, 16.0, 28.0, 44.0
 
 def _fmt(v: float) -> str:
     return format(v, ".6g")
+
+
+def _log_label(e: float) -> str:
+    """10**e to 6 digits; below the smallest normal float, from the exact power."""
+    if 10**e >= sys.float_info.min:
+        return _fmt(10**e)
+    power = Decimal(10) ** Decimal(e)
+    exponent = power.adjusted()
+    mantissa = _fmt(float(power.scaleb(-exponent)))
+    if mantissa == "10":
+        mantissa, exponent = "1", exponent + 1
+    return f"{mantissa}e{exponent:+03d}"
 
 
 def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
@@ -104,7 +117,7 @@ def oracle_line_plot(
         )
     for yv in _ticks(y_lo, y_hi):
         py = sy(yv)
-        label = _fmt(10**yv) if logy else _fmt(yv)
+        label = _log_label(yv) if logy else _fmt(yv)
         parts.append(
             f'<line x1="{_fmt(_MARGIN_L - 5)}" y1="{_fmt(py)}" x2="{_fmt(_MARGIN_L)}" '
             f'y2="{_fmt(py)}" stroke="black" stroke-width="1"/>'
@@ -210,8 +223,11 @@ def test_shipped_plot_shapes_match_reference():
 
 @pytest.mark.parametrize(
     "lo, hi",
-    # the last two put the padded top tick past 1.8e308, where 10**tick overflows
-    [(1e-3, 10.0), (2.5e-7, 3.1e4), (0.5, 0.7), (1e300, 1e308), (1e-5, 1.7e308)],
+    # (1e300, 1e308) and (1e-5, 1.7e308) put the padded top tick past 1.8e308, where
+    # 10**tick overflows; the last two put the bottom tick below the smallest normal
+    # float, where 10**tick is a subnormal of few digits, or zero
+    [(1e-3, 10.0), (2.5e-7, 3.1e4), (0.5, 0.7), (1e300, 1e308), (1e-5, 1.7e308),
+     (1e-321, 1e-300), (5e-324, 1e-10)],
 )
 def test_log_axis_labels_are_the_tick_values(tmp_path, lo, hi):
     out = line_plot(tmp_path / "p.svg", [([0.0, 1.0], [lo, hi], "a")], "x", "y", logy=True)
