@@ -140,15 +140,19 @@ def cmd_lossmap(cfg: ScenarioConfig, plot: bool) -> tuple[Tables, Figures]:
     figures = {}
     if plot:
         blocks = map_table.reshape(ratios.size, omegas.size, len(header_map))
+        curves = [
+            (blocks[i][:, 1], np.abs(blocks[i][:, 2]), f"gamma_m/gamma_e={ratios[i]:.2g}")
+            for i in sorted({0, ratios.size // 2, ratios.size - 1})
+        ]
+        # A lossless medium 2 has |kappa| = 0 throughout: a log axis would
+        # have nothing to draw, so that map is drawn on a linear one.
+        lossy = any(np.any(np.isfinite(y) & (y > 0)) for _, y, _ in curves)
         figures["fig_lossmap.svg"] = dict(
-            curves=[
-                (blocks[i][:, 1], np.abs(blocks[i][:, 2]), f"gamma_m/gamma_e={ratios[i]:.2g}")
-                for i in sorted({0, ratios.size // 2, ratios.size - 1})
-            ],
+            curves=curves,
             xlabel="omega/omega_e",
             ylabel="|kappa|/kappa0",
             title="loss abyss vs magnetic decoherence",
-            logy=True,
+            logy=lossy,
         )
     tables = {"lossmap.csv": (header_map, map_table), "abyss_track.csv": (header_track, track)}
     return tables, figures

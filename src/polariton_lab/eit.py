@@ -42,7 +42,19 @@ _QUAD_EPS = 1e-12
 # k = 8 down to 1; eight terms reach rounding level for |e| < 0.05.
 _CSC_ODD = [1.9999695284298122, 1.9998783406919596, 1.9995153702877164, 1.9980790151965429,
             1.992466003705296, 1.9711021825948705, 1.8940656589944918, 1.6449340668482264]
-_RING_NODES, _RING_WEIGHTS = np.polynomial.legendre.leggauss(24)  # on [-1, 1]
+# The 24-point Gauss-Legendre rule on [-1, 1], numpy's leggauss(24) to the
+# bit (nodes odd, weights even), written out so that numpy.polynomial is not
+# imported.
+_HALF_NODES = np.array([
+    0.06405689286260563, 0.19111886747361631, 0.3150426796961634, 0.43379350762604513,
+    0.54542147138883956, 0.64809365193697555, 0.74012419157855436, 0.82000198597390295,
+    0.88641552700440107, 0.9382745520027328, 0.97472855597130947, 0.99518721999702131])
+_HALF_WEIGHTS = np.array([
+    0.12793819534675202, 0.12583745634682825, 0.12167047292780329, 0.11550566805372552,
+    0.10744427011596556, 0.097618652104113926, 0.086190161531953205, 0.073346481411080161,
+    0.05929858491543636, 0.044277438817419412, 0.028531388628933559, 0.01234122979998869])
+_RING_NODES = np.concatenate([-_HALF_NODES[::-1], _HALF_NODES])
+_RING_WEIGHTS = np.concatenate([_HALF_WEIGHTS[::-1], _HALF_WEIGHTS])
 
 
 @dataclass(frozen=True)

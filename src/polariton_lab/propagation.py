@@ -17,7 +17,11 @@ the layer-induced delay is ``delay - x/v0``.
 A run covers a grid of pulses: ``x`` and the layer's ``Omega`` broadcast to
 one grid shape G, and :func:`propagate_pulse` evaluates it in one array pass
 (one layer response, exponent and FFT over G + (n_nu,), metrics per row),
-each pulse bit-equal to a run of its (x, Omega) pair alone.
+each pulse bit-equal to a run of its (x, Omega) pair alone.  The detuning
+grid is symmetric and H(-nu) = conj H(nu) holds bit for bit, so the pass
+evaluates the layer response on the nu <= 0 half of the grid only and mirrors
+it onto the other half; :func:`transfer_function` itself evaluates every
+detuning it is given.
 """
 
 from __future__ import annotations
@@ -156,7 +160,14 @@ def propagate_pulse(s: PropagationScenario) -> tuple[np.ndarray, np.ndarray, Pul
     n = s.n_nu
     nu, dnu = frequency_grid(s)
     spectrum = s.delta_t / math.sqrt(2.0 * math.pi) * np.exp(-0.5 * (nu * s.delta_t) ** 2)
-    h = transfer_function(s, nu)  # named operand: see eit.hyp2f1_special
+    # Bins -k and +k of the grid are exact negations, and every step from nu
+    # to H (complex arithmetic, exp, log, expm1, abs, angle, the ring's fixed
+    # quadrature sum, the real-b sine) commutes with conjugation, so
+    # H(-nu) = conj H(nu) bit for bit: the layer is evaluated on bins
+    # -n/2 .. 0 only, and bins 1 .. n/2-1 are their mirror.
+    h = np.empty(s.shape + (n,), dtype=complex)  # named operand: see eit.hyp2f1_special
+    h[..., : n // 2 + 1] = transfer_function(s, nu[: n // 2 + 1])
+    h[..., n // 2 + 1 :] = np.conj(h[..., n // 2 - 1 : 0 : -1])
     spectra = np.fft.ifftshift(spectrum * h, axes=-1)
     env = np.fft.fftshift(np.fft.fft(spectra, axis=-1), axes=-1) * dnu
 

@@ -428,16 +428,37 @@ def test_propagate_outputs_and_slope(tmp_path):
     assert slope_rows[0][1] == pytest.approx(-2.0, abs=0.2)
 
 
-def test_failed_plot_writes_no_file(tmp_path, capsys):
-    # no loss at any ratio: every |kappa| is zero, so the log-y lossmap
-    # figure has nothing to draw, and its tables must not be left behind
+_LOSSLESS_INI = ("[materials]\npreset2 = custom\ngamma_e = 0\ngamma_m = 0\n"
+                 "[band]\nn_points = 64\n[lossmap]\nn_gamma = 3\n")
+
+
+def test_failed_plot_writes_no_file(tmp_path, capsys, monkeypatch):
+    # a figure that fails is drawn before any table, so nothing is left behind
+    def fail(path, **kwargs):
+        raise ValueError("nothing to plot: no finite samples")
+
+    monkeypatch.setattr(cli, "line_plot", fail)
     cfg = tmp_path / "lossless.ini"
-    cfg.write_text("[materials]\npreset2 = custom\ngamma_e = 0\ngamma_m = 0\n"
-                   "[band]\nn_points = 64\n[lossmap]\nn_gamma = 3\n")
+    cfg.write_text(_LOSSLESS_INI)
     out = tmp_path / "out"
     assert main(["lossmap", "--config", str(cfg), "--out", str(out), "--plot"]) == EXIT_NUMERIC
     assert "nothing to plot" in capsys.readouterr().err
     assert list(out.iterdir()) == []
+
+
+def test_lossless_lossmap_plots_on_a_linear_axis(tmp_path):
+    # every |kappa| is zero: the map is drawn on a linear axis, and asking
+    # for the figure changes none of the tables
+    cfg = tmp_path / "lossless.ini"
+    cfg.write_text(_LOSSLESS_INI)
+    plain, plotted = tmp_path / "plain", tmp_path / "plotted"
+    assert main(["lossmap", "--config", str(cfg), "--out", str(plain)]) == EXIT_OK
+    assert main(["lossmap", "--config", str(cfg), "--out", str(plotted), "--plot"]) == EXIT_OK
+    assert (plotted / "fig_lossmap.svg").is_file()
+    csvs = sorted(p.name for p in plain.iterdir())
+    assert csvs == ["abyss_track.csv", "lossmap.csv"]
+    for name in csvs:
+        assert (plotted / name).read_bytes() == (plain / name).read_bytes()
 
 
 @pytest.mark.parametrize("cmd", sorted(cli._COMMANDS))

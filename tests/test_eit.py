@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polariton_lab import eit
@@ -402,3 +402,30 @@ def test_alpha_quadrature_without_scipy_names_the_extra(monkeypatch):
     monkeypatch.setitem(sys.modules, "scipy.integrate", None)
     with pytest.raises(ImportError, match=r"pip install polariton-lab\[test\]"):
         alpha_quadrature(params(), gsq_over_v0_for(params(), 1e7), 0.0)
+
+
+# Detunings from far inside the window to far outside it: with Omega up to
+# 30 Gamma31 both 2F1 arguments sweep the series disc, the ring and |z| > 1.25.
+_NU_SWEEP = np.geomspace(1e-6, 1e3, 160)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    gamma31=st.floats(1e8, 1e10),
+    g21_frac=st.one_of(st.just(0.0), st.floats(0.0, 0.05)),
+    omega_fracs=st.lists(st.floats(0.0, 30.0), max_size=3),
+    b=st.one_of(st.sampled_from([0.3, 1.0, 2.0]), st.floats(0.05, 10.0)),
+    z0=st.one_of(st.floats(1e-8, 1e-5), st.just(math.inf)),
+    nu_scale=st.floats(0.5, 2.0),
+)
+@example(gamma31=1e9, g21_frac=0.0, omega_fracs=[1.0, 30.0], b=0.3, z0=math.inf, nu_scale=1.0)
+def test_conjugation_identity_is_bitwise(gamma31, g21_frac, omega_fracs, b, z0, nu_scale):
+    # G(-nu) = conj G(nu) exactly: every step from nu to G commutes with
+    # conjugation, and propagate_pulse relies on it to mirror its grid
+    omega = np.array(omega_fracs + [0.0]) * gamma31  # the control-off limit too
+    p = LambdaMediumParams(n=1e24, z0=z0, gamma21=g21_frac * gamma31, Gamma31=gamma31,
+                           Omega=omega[:, None], k1s=b * 1e6, k1c=1e6, Ly=2.5e-6)
+    nu = nu_scale * gamma31 * _NU_SWEEP
+    minus, plus = (alpha_closed(p, 1e7, v).G for v in (-nu, nu))
+    assert np.array_equal(minus.real, plus.real)
+    assert np.array_equal(minus.imag, -plus.imag)

@@ -56,6 +56,32 @@ def test_transfer_function_overflow_clamped():
     assert transfer_function(s, 0.0) == 0
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    xs=st.one_of(st.floats(0.0, 3e-3), st.lists(st.floats(0.0, 3e-3), min_size=1, max_size=3)),
+    omega_fracs=st.lists(st.floats(0.0, 4.0), max_size=3),
+    kappa31=st.sampled_from([0.0, 100.0]),
+    alpha0=st.sampled_from([0.0, 1e7, 3e7]),
+    b=st.one_of(st.sampled_from([0.3, 1.0, 2.0]), st.floats(0.05, 10.0)),
+    gamma21=st.sampled_from([0.0, 1e3]),
+    z0=st.one_of(st.floats(1e-8, 1e-5), st.just(math.inf)),
+)
+@example(xs=[1e-3, 3e-3], omega_fracs=[0.5, 4.0], kappa31=0.0, alpha0=3e7, b=0.3, gamma21=0.0,
+         z0=math.inf)
+def test_transfer_function_conjugation_is_bitwise(xs, omega_fracs, kappa31, alpha0, b, gamma21,
+                                                  z0):
+    # H(-nu) = conj H(nu) exactly, over detunings whose 2F1 arguments sweep
+    # the series disc, the ring and |z| > 1.25: the mirror propagate_pulse takes
+    x = np.array(xs)[:, None] if isinstance(xs, list) else xs
+    omega = np.array(omega_fracs + [0.0]) * 1e9  # the control-off limit too
+    s = scenario(x=x, kappa31=kappa31, alpha0=alpha0,
+                 eit=LambdaMediumParams(Omega=omega, k1s=b * 1e6, gamma21=gamma21, z0=z0))
+    nu = 1e9 * np.geomspace(1e-6, 1e3, 160)
+    minus, plus = transfer_function(s, -nu), transfer_function(s, nu)
+    assert np.array_equal(minus.real, plus.real)
+    assert np.array_equal(minus.imag, -plus.imag)
+
+
 def test_transfer_magnitude_at_reference_point():
     # carrier transmission over 1 mm with the layer engaged: background loss
     # plus the tiny ground-decoherence floor
@@ -271,7 +297,7 @@ def _assert_grid_equals_per_pair_oracle(s):
 
 
 _CONTROL_SWEEP = dict(xs=[1e-3, 3e-3], omegas=[0.5e9, 1e9, 2e9, 4e9], kappa31=100.0,
-                      alpha0=1e7, b=1.0, n_nu=4096)
+                      alpha0=1e7, b=1.0, n_nu=4096, delta_t=DT, nu_span=None)
 
 
 @settings(max_examples=25, deadline=None)
@@ -281,19 +307,30 @@ _CONTROL_SWEEP = dict(xs=[1e-3, 3e-3], omegas=[0.5e9, 1e9, 2e9, 4e9], kappa31=10
                      st.lists(st.floats(0.5e9, 4e9), min_size=1, max_size=4)),
     kappa31=st.sampled_from([0.0, 100.0]),
     alpha0=st.sampled_from([0.0, 1e7, 3e7]),
-    b=st.sampled_from([1.0, 1.5]),
+    b=st.sampled_from([0.3, 1.0, 1.5, 2.0]),
     n_nu=st.just(1024),
+    # nu_span in units of 1/delta_t; a grid edge past Omega reaches the 2F1
+    # ring and series disc, not only |z| > 1.25
+    delta_t=st.floats(1e-8, 1e-7),
+    nu_span=st.one_of(st.none(), st.floats(10.0, 400.0)),
 )
 @example(**_CONTROL_SWEEP)  # 2 x 4 x 4096 complex: 512 KiB, past numpy's in-place reuse
 @example(xs=[1e-3, 3e-3], omegas=[1e9, 0.5e9], kappa31=0.0, alpha0=3e7, b=1.0,
-         n_nu=1024)  # one aliased pair, (3e-3, 0.5e9)
-def test_grid_pulse_bit_equals_per_pair_oracle(xs, omegas, kappa31, alpha0, b, n_nu):
+         n_nu=1024, delta_t=DT, nu_span=None)  # one aliased pair, (3e-3, 0.5e9)
+@example(xs=[1e-3, 2e-3], omegas=[1e9, 4e9], kappa31=100.0, alpha0=3e7, b=0.3,
+         n_nu=1024, delta_t=1e-8, nu_span=40.0)  # b < 1/2: the 1/z formula's m = 0 branch
+@example(xs=[1e-3, 2e-3], omegas=[2e9, 4e9], kappa31=0.0, alpha0=1e7, b=2.0,
+         n_nu=1024, delta_t=1e-8, nu_span=100.0)  # b = 2 in every 2F1 region
+def test_grid_pulse_bit_equals_per_pair_oracle(xs, omegas, kappa31, alpha0, b, n_nu, delta_t,
+                                               nu_span):
     # One pass over the (x, Omega) grid gives every pulse and metric that a
-    # run of its pair alone gives, bit for bit.
+    # run of its pair alone gives, bit for bit; the pass mirrors the layer
+    # response of its nu <= 0 half, the oracle evaluates every bin.
     x = np.array(xs) if isinstance(xs, list) else xs
     omega = np.array(omegas) if isinstance(omegas, list) else omegas
     if np.ndim(x) and np.ndim(omega):
         x = x[:, None]  # distances down, control amplitudes across
-    s = scenario(x=x, kappa31=kappa31, alpha0=alpha0, n_nu=n_nu,
+    s = scenario(x=x, kappa31=kappa31, alpha0=alpha0, n_nu=n_nu, delta_t=delta_t,
+                 nu_span=None if nu_span is None else nu_span / delta_t,
                  eit=LambdaMediumParams(Omega=omega, k1s=b * 1e6))
     _assert_grid_equals_per_pair_oracle(s)

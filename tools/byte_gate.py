@@ -80,6 +80,16 @@ def _run(tree: Path, run: Path) -> dict[str, int]:
     return json.loads(proc.stdout.splitlines()[-1])
 
 
+def export(rev: str, dest: Path) -> None:
+    """Write the files of git revision ``rev`` to ``dest`` with ``git archive``."""
+    archive = subprocess.run(
+        ["git", "-C", str(ROOT), "archive", "--format=tar", rev],
+        stdout=subprocess.PIPE, check=True,
+    ).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(dest, filter="data")
+
+
 def _files(run: Path) -> dict[str, bytes]:
     return {str(p.relative_to(run)): p.read_bytes() for p in sorted(run.rglob("*")) if p.is_file()}
 
@@ -91,12 +101,7 @@ def main(argv: list[str]) -> int:
     rev = argv[0]
     with tempfile.TemporaryDirectory(prefix="byte-gate-") as tmp:
         tmp = Path(tmp).resolve()
-        archive = subprocess.run(
-            ["git", "-C", str(ROOT), "archive", "--format=tar", rev],
-            stdout=subprocess.PIPE, check=True,
-        ).stdout
-        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-            tar.extractall(tmp / "rev", filter="data")
+        export(rev, tmp / "rev")
         sides = {rev: (tmp / "rev", tmp / "run-rev"), "tree": (ROOT, tmp / "run-tree")}
         codes, files = {}, {}
         for side, (tree, run) in sides.items():
